@@ -218,12 +218,12 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    data = dtree.read_dataset_csv(args.infile)
     if args.model:
-        tree, _, _ = dtree.load_model(args.model)
-        test = data
+        tree, attributes, label = dtree.load_model(args.model)
+        test = dtree.read_dataset_csv(args.infile, expected=(attributes, label))
         sizes = {"train": None, "test": len(test.instances)}
     else:
+        data = dtree.read_dataset_csv(args.infile)
         train, test = dtree.split_dataset(data, args.fraction, args.seed)
         tree = dtree.build_tree(train, criterion=_criterion(args.criterion), min_leaf=args.min_leaf)
         sizes = {"train": len(train.instances), "test": len(test.instances)}

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,7 +74,10 @@ class Instance:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float; bools, NaN and infinities are not numbers here."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -216,28 +220,61 @@ def _partition_nominal(instances, index, domain):
     return parts
 
 
-def _split_score(parent_counts, parts, n, domain, criterion) -> float:
+def _split_score(parent_counts, part_counts, n, criterion) -> float:
     child_h = 0.0
-    for part in parts:
-        if part:
-            child_h += (len(part) / n) * _entropy(_class_counts(part, domain), len(part))
+    for counts in part_counts:
+        if any(counts):
+            child_h += (sum(counts) / n) * _entropy(counts, sum(counts))
     gain = _entropy(parent_counts, n) - child_h
     if criterion == GAIN:
         return gain
-    split_info = _entropy([len(p) for p in parts], n)
+    split_info = _entropy([sum(counts) for counts in part_counts], n)
     return gain / split_info if split_info > 0.0 else 0.0
 
 
-def _parts_for(data: Dataset, attribute: str, threshold):
+def _best_split(instances, pos, spec, domain, criterion, min_leaf, threshold=None):
+    """Best ``(score, threshold)`` of splitting ``instances`` on attribute ``pos``.
+
+    Sweeps sorted values with cumulative class counts over ``threshold`` or the
+    ``numeric_candidates`` midpoints, skipping splits that leave a branch under
+    ``min_leaf``. A sweep keeps the first score above 0.0, a lone split its own."""
+    column = {c: i for i, c in enumerate(domain)}
+    by_value = defaultdict(lambda: [0] * len(domain))
+    for inst in instances:
+        by_value[inst.values[pos]][column[inst.label]] += 1
+    parent = [sum(c) for c in zip(*by_value.values())]
+    n = len(instances)
+    if spec.kind == NOMINAL:
+        parts = [by_value[v] for v in spec.domain]
+        usable = min(map(sum, parts)) >= min_leaf
+        return (_split_score(parent, parts, n, criterion) if usable else 0.0), None
+    values = sorted(by_value)
+    best = (0.0 if threshold is None else -math.inf, None)
+    thresholds = [threshold] if threshold is not None else [
+        (v1 + v2) / 2.0 for v1, v2 in zip(values, values[1:])
+        if [c > 0 for c in by_value[v1]] != [c > 0 for c in by_value[v2]]
+    ]
+    left, j = [0] * len(domain), 0
+    for t in thresholds:  # midpoints never decrease, so values move left in one pass
+        while j < len(values) and values[j] <= t:
+            left = [a + b for a, b in zip(left, by_value[values[j]])]
+            j += 1
+        if min(sum(left), n - sum(left)) >= min_leaf:
+            right = [p - a for p, a in zip(parent, left)]
+            score = _split_score(parent, [left, right], n, criterion)
+            if score > best[0]:
+                best = (score, t)
+    return best
+
+
+def _score_at(data: Dataset, attribute: str, threshold, criterion: str) -> float:
+    if not data.instances:
+        raise EmptyDataset(f"{criterion} needs a non-empty dataset")
     index = data.attribute_index(attribute)
     spec = data.attributes[index]
-    if spec.kind == NUMERIC:
-        if threshold is None:
-            raise BadThreshold(f"{attribute}: numeric attribute needs a threshold")
-        return list(_partition_numeric(data.instances, index, threshold))
-    if threshold is not None:
-        raise BadThreshold(f"{attribute}: nominal attribute takes no threshold")
-    return list(_partition_nominal(data.instances, index, spec.domain).values())
+    if (spec.kind == NUMERIC) != (threshold is not None):
+        raise BadThreshold(f"{attribute}: bad threshold {threshold!r} for a {spec.kind} attribute")
+    return _best_split(data.instances, index, spec, data.label.domain, criterion, 0, threshold)[0]
 
 
 def info_gain(data: Dataset, attribute: str, threshold: float | None = None) -> float:
@@ -246,11 +283,7 @@ def info_gain(data: Dataset, attribute: str, threshold: float | None = None) -> 
     A threshold putting all instances on one side is not an error; the
     gain is simply 0.
     """
-    if not data.instances:
-        raise EmptyDataset("info_gain needs a non-empty dataset")
-    parts = _parts_for(data, attribute, threshold)
-    counts = _class_counts(data.instances, data.label.domain)
-    return _split_score(counts, parts, len(data.instances), data.label.domain, GAIN)
+    return _score_at(data, attribute, threshold, GAIN)
 
 
 def gain_ratio(data: Dataset, attribute: str, threshold: float | None = None) -> float:
@@ -258,11 +291,7 @@ def gain_ratio(data: Dataset, attribute: str, threshold: float | None = None) ->
 
     Returns 0 when the split information is 0 (all instances in one branch).
     """
-    if not data.instances:
-        raise EmptyDataset("gain_ratio needs a non-empty dataset")
-    parts = _parts_for(data, attribute, threshold)
-    counts = _class_counts(data.instances, data.label.domain)
-    return _split_score(counts, parts, len(data.instances), data.label.domain, GAIN_RATIO)
+    return _score_at(data, attribute, threshold, GAIN_RATIO)
 
 
 def numeric_candidates(instances, index) -> list[float]:
@@ -295,21 +324,11 @@ def rank_attributes(data: Dataset, criterion: str = GAIN_RATIO) -> list[tuple[st
     if not data.instances:
         raise EmptyDataset("rank_attributes needs a non-empty dataset")
     domain = data.label.domain
-    counts = _class_counts(data.instances, domain)
-    n = len(data.instances)
-    ranked = []
-    for pos, spec in enumerate(data.attributes):
-        if spec.kind == NUMERIC:
-            score = 0.0
-            for t in numeric_candidates(data.instances, pos):
-                parts = _partition_numeric(data.instances, pos, t)
-                score = max(score, _split_score(counts, parts, n, domain, criterion))
-        else:
-            parts = _partition_nominal(data.instances, pos, spec.domain)
-            score = _split_score(counts, list(parts.values()), n, domain, criterion)
-        ranked.append((spec.name, score, pos))
-    ranked.sort(key=lambda t: (-t[1], t[2]))
-    return [(name, score) for name, score, _ in ranked]
+    ranked = [
+        (spec.name, _best_split(data.instances, pos, spec, domain, criterion, 0)[0])
+        for pos, spec in enumerate(data.attributes)
+    ]
+    return sorted(ranked, key=lambda t: -t[1])  # stable, so ties keep schema order
 
 
 # --- Induction ----------------------------------------------------------------
@@ -363,31 +382,17 @@ def build_tree(
         ):
             return leaf_for(instances, counts)
 
-        best_score = 0.0
-        best = None
+        best_score, best = 0.0, None
         for pos, spec in enumerate(data.attributes):
-            if spec.kind == NUMERIC:
-                for t in numeric_candidates(instances, pos):
-                    le, gt = _partition_numeric(instances, pos, t)
-                    if len(le) < min_leaf or len(gt) < min_leaf:
-                        continue
-                    score = _split_score(counts, [le, gt], n, domain, criterion)
-                    if score > best_score:
-                        best_score = score
-                        best = (spec, pos, t, le, gt, None)
-            else:
-                parts = _partition_nominal(instances, pos, spec.domain)
-                if any(len(p) < min_leaf for p in parts.values()):
-                    continue
-                score = _split_score(counts, list(parts.values()), n, domain, criterion)
-                if score > best_score:
-                    best_score = score
-                    best = (spec, pos, None, None, None, parts)
+            score, t = _best_split(instances, pos, spec, domain, criterion, min_leaf)
+            if score > best_score:
+                best_score, best = score, (pos, spec, t)
 
         if best is None:
             return leaf_for(instances, counts)
-        spec, pos, t, le, gt, parts = best
+        pos, spec, t = best
         if spec.kind == NUMERIC:
+            le, gt = _partition_numeric(instances, pos, t)
             return Split(
                 attribute=spec.name,
                 index=pos,
@@ -395,6 +400,7 @@ def build_tree(
                 le=grow(le, depth + 1),
                 gt=grow(gt, depth + 1),
             )
+        parts = _partition_nominal(instances, pos, spec.domain)
         return Split(
             attribute=spec.name,
             index=pos,
@@ -695,24 +701,60 @@ def schema_from_json(obj: dict) -> tuple[tuple[AttributeSpec, ...], AttributeSpe
 
 
 MODEL_FORMAT = "sacmine-tree"
+MODEL_VERSION = 1
 
 
 def save_model(tree: TreeNode, attributes, label: AttributeSpec, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
-        "version": 1,
+        "version": MODEL_VERSION,
         "schema": schema_to_json(attributes, label),
         "tree": tree_to_json(tree),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _check_tree(node: TreeNode, attributes, label: AttributeSpec) -> None:
+    """Raise SchemaMismatch unless every node under ``node`` fits the schema."""
+    if isinstance(node, Leaf):
+        if not (
+            node.label in node.distribution
+            and isinstance(node.n, int)
+            and all(c in label.domain and _is_number(p) for c, p in node.distribution.items())
+        ):
+            raise SchemaMismatch(f"leaf {node.label!r} does not fit label {label.name!r}")
+        return
+    known = isinstance(node.index, int) and 0 <= node.index < len(attributes)
+    spec = attributes[node.index] if known else None
+    if spec is None or spec.name != node.attribute or not (
+        _is_number(node.threshold)
+        if spec.kind == NUMERIC
+        else isinstance(node.branches, dict) and set(node.branches) == set(spec.domain)
+    ):
+        raise SchemaMismatch(f"split on {node.attribute!r} does not fit the schema")
+    for child in _children(node):
+        _check_tree(child, attributes, label)
+
+
 def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec]:
+    """Read a model file written by ``save_model``.
+
+    Raises ValueError for another format or version, and SchemaMismatch
+    when the schema or tree is missing, or a node lacks a field or does
+    not fit the schema.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    attributes, label = schema_from_json(doc["schema"])
-    return tree_from_json(doc["tree"]), attributes, label
+    if doc.get("version") != MODEL_VERSION:
+        raise ValueError(f"{path}: unsupported {MODEL_FORMAT} version {doc.get('version')!r}")
+    try:
+        attributes, label = schema_from_json(doc["schema"])
+        tree = tree_from_json(doc["tree"])
+        _check_tree(tree, attributes, label)
+    except (KeyError, TypeError, AttributeError, SchemaMismatch) as exc:
+        raise SchemaMismatch(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
+    return tree, attributes, label
 
 
 # --- Dataset CSV with sidecar schema ------------------------------------------------
@@ -744,13 +786,42 @@ def _column_map(header, names):
     return [header.index(name) for name in names]
 
 
-def read_dataset_csv(csv_path, schema_path=None) -> Dataset:
-    """Load a labeled dataset; the sidecar schema defaults to <name>.schema.json."""
+def _parse_row(row, width, positions, numeric, path, line) -> list:
+    """Trimmed cells at ``positions``; those named in ``numeric`` (cell index
+    -> column name) parsed as finite floats."""
+    if len(row) != width:
+        raise SchemaMismatch(f"{path}:{line}: expected {width} fields, got {len(row)}")
+    cells = [row[p].strip() for p in positions]
+    for i, name in numeric.items():
+        try:
+            value = float(cells[i])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise SchemaMismatch(
+                f"{path}:{line}: {name}: expected a finite number, got {cells[i]!r}"
+            )
+        cells[i] = value
+    return cells
+
+
+def read_dataset_csv(csv_path, schema_path=None, expected=None) -> Dataset:
+    """Load a labeled dataset; the sidecar schema defaults to <name>.schema.json.
+
+    ``expected`` is a model's (attributes, label): the sidecar must declare
+    the same columns, by name, with the same kinds and domains, and the
+    instances then follow the model's column order.
+    """
     csv_path = Path(csv_path)
     schema_path = default_schema_path(csv_path) if schema_path is None else Path(schema_path)
     schema = json.loads(schema_path.read_text(encoding="utf-8"))
     attributes, label = schema_from_json(schema)
+    if expected is not None:
+        if label != expected[1] or set(attributes) != set(expected[0]):
+            raise SchemaMismatch(f"{schema_path}: columns do not match the model schema")
+        attributes, label = expected
     names = [a.name for a in attributes] + [label.name]
+    numeric = {i: a.name for i, a in enumerate(attributes) if a.kind == NUMERIC}
     instances = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -762,18 +833,15 @@ def read_dataset_csv(csv_path, schema_path=None) -> Dataset:
         for row in reader:
             if not row:
                 continue
-            cells = [row[p].strip() for p in positions]
-            values = tuple(
-                float(cell) if spec.kind == NUMERIC else cell
-                for spec, cell in zip(attributes, cells[:-1])
-            )
-            instances.append(Instance(values, cells[-1]))
+            cells = _parse_row(row, len(header), positions, numeric, csv_path, reader.line_num)
+            instances.append(Instance(tuple(cells[:-1]), cells[-1]))
     return Dataset(attributes, label, tuple(instances))
 
 
 def read_instances_csv(csv_path, attributes) -> list[tuple]:
     """Read unlabeled rows for prediction; any label column is ignored."""
     names = [a.name for a in attributes]
+    numeric = {i: a.name for i, a in enumerate(attributes) if a.kind == NUMERIC}
     rows = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -789,10 +857,6 @@ def read_instances_csv(csv_path, attributes) -> list[tuple]:
         for row in reader:
             if not row:
                 continue
-            rows.append(
-                tuple(
-                    float(row[p].strip()) if spec.kind == NUMERIC else row[p].strip()
-                    for spec, p in zip(attributes, positions)
-                )
-            )
+            cells = _parse_row(row, len(header), positions, numeric, csv_path, reader.line_num)
+            rows.append(tuple(cells))
     return rows

@@ -156,6 +156,94 @@ class TestExitCodes:
         assert run(["--help"]) == 0
 
 
+class TestMalformedInputs:
+    @staticmethod
+    def replace_line(path, number, edit):
+        lines = path.read_text().splitlines()
+        lines[number - 1] = edit(lines[number - 1])
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_train_rejects_non_finite_number(self, capsys, tmp_path, cell):
+        ds = make_dataset(tmp_path)
+        self.replace_line(ds, 4, lambda line: cell + line[line.index(","):])
+        assert run(["train", "--in", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert f"ds.csv:4: attend_avg: expected a finite number, got {cell!r}" in err
+
+    def test_predict_rejects_non_finite_number(self, capsys, tmp_path):
+        ds = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+        self.replace_line(ds, 2, lambda line: "nan" + line[line.index(","):])
+        assert run(["predict", "--in", str(ds), "--model", str(model)]) == 1
+        assert "ds.csv:2: attend_avg: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_short_row_is_schema_mismatch(self, capsys, tmp_path, command):
+        ds = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+        self.replace_line(ds, 3, lambda line: line[: line.rindex(",")])
+        extra = ["--model", str(model)] if command == "predict" else []
+        assert run([command, "--in", str(ds), *extra]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaMismatch" in err and "ds.csv:3: expected 4 fields, got 3" in err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc.pop("tree"),
+            lambda doc: doc.pop("schema"),
+            lambda doc: doc.update(version=2),
+            lambda doc: doc.update(tree=[]),
+            lambda doc: doc["tree"].pop("le"),
+            lambda doc: doc["tree"].update(index=9),
+            lambda doc: doc["tree"].update(threshold="high"),
+            lambda doc: doc.update(tree={"type": "leaf", "class": "99", "n": 1, "distribution": {"99": 1}}),
+        ],
+        ids=["no-tree", "no-schema", "version-2", "tree-not-object", "split-without-le",
+             "index-out-of-range", "text-threshold", "leaf-class-outside-domain"],
+    )
+    def test_rules_rejects_malformed_model(self, capsys, tmp_path, damage):
+        ds = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        damage(doc)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["rules", "--in", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.json" in err
+
+    def test_evaluate_maps_columns_to_the_model_by_name(self, capsys, tmp_path):
+        ds = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+        order = [2, 0, 3, 1]
+        rows = [line.split(",") for line in ds.read_text().splitlines()]
+        moved = tmp_path / "moved.csv"
+        moved.write_text("".join(",".join(row[i] for i in order) + "\n" for row in rows))
+        schema = json.loads((tmp_path / "ds.schema.json").read_text())
+        schema["columns"] = [schema["columns"][i] for i in order]
+        (tmp_path / "moved.schema.json").write_text(json.dumps(schema))
+        capsys.readouterr()
+        assert run(["evaluate", "--in", str(moved), "--model", str(model)]) == 0
+        assert capsys.readouterr().out.startswith("accuracy 1.000 ")
+
+    def test_evaluate_rejects_a_schema_unlike_the_model(self, capsys, tmp_path):
+        ds = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+        schema_path = tmp_path / "ds.schema.json"
+        schema = json.loads(schema_path.read_text())
+        schema["columns"][-1]["domain"].append("11")
+        schema_path.write_text(json.dumps(schema))
+        assert run(["evaluate", "--in", str(ds), "--model", str(model)]) == 1
+        assert "columns do not match the model schema" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_artifacts(self, tmp_path):
         art = {}

@@ -377,6 +377,11 @@ class TestPredict:
             predict(tree, ())
         with pytest.raises(SchemaMismatch):
             predict(tree, ("not-a-number", 5, "1"))
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SchemaMismatch):
+                predict(tree, (value, 5, "1"))
+            with pytest.raises(SchemaMismatch):
+                data.with_instances([Instance((value, 5, "1"), "5")])
 
 
 # --- rules -----------------------------------------------------------------------
