@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, dtree, fixtures, ingest, reliability, synthgen
+from . import __version__, dtree, fixtures, ingest, reliability, synthgen, tables
 from .errors import Error
 
 
@@ -94,20 +94,26 @@ def _criterion(name: str) -> str:
     return dtree.GAIN if name == "gain" else dtree.GAIN_RATIO
 
 
-def _cmd_ingest(args) -> int:
-    events, parse_report = ingest.read_events_csv(args.infile)
-    cleaned, clean_report = ingest.clean_events(events)
+def _print_accounting(parse_report, clean_report, file) -> None:
     print(
         f"read {parse_report.rows_read} rows: kept {parse_report.rows_kept}, "
-        f"rejected {parse_report.rows_rejected}"
+        f"rejected {parse_report.rows_rejected}",
+        file=file,
     )
     for reason, count in sorted(parse_report.rejection_reasons.items()):
-        print(f"  rejected {count}: {reason}")
+        print(f"  rejected {count}: {reason}", file=file)
     print(
         f"cleaned to {clean_report.rows_kept} events: "
         f"{clean_report.duplicates_dropped} duplicates dropped, "
-        f"{clean_report.conflicts_resolved} conflicts resolved"
+        f"{clean_report.conflicts_resolved} conflicts resolved",
+        file=file,
     )
+
+
+def _cmd_ingest(args) -> int:
+    events, parse_report = ingest.read_events_csv(args.infile)
+    cleaned, clean_report = ingest.clean_events(events)
+    _print_accounting(parse_report, clean_report, sys.stdout)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             ingest.write_events_csv(cleaned, fh)
@@ -115,18 +121,19 @@ def _cmd_ingest(args) -> int:
 
 
 def _score_rows_from_input(args) -> list[tuple]:
-    with open(args.infile, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-    header = tuple(c.strip() for c in first.strip().split(","))
-    if header == ingest.EVENTS_HEADER:
-        events, _ = ingest.read_events_csv(args.infile)
-        cleaned, _ = ingest.clean_events(events)
-        roster = ingest.read_roster_csv(args.roster) if args.roster else None
-        records, rejections = ingest.aggregate(cleaned, roster, args.weeks)
-        for diag in rejections:
-            print(f"rejected record: {diag}", file=sys.stderr)
-        return ingest.score_rows(records)
-    return ingest.read_module_inputs_csv(args.infile)
+    """Score an events CSV (row accounting goes to stderr) or module inputs."""
+    with tables.read(Path(args.infile)) as table:
+        is_events = table.header == ingest.EVENTS_HEADER
+    if not is_events:
+        return ingest.read_module_inputs_csv(args.infile)
+    events, parse_report = ingest.read_events_csv(args.infile)
+    cleaned, clean_report = ingest.clean_events(events)
+    _print_accounting(parse_report, clean_report, sys.stderr)
+    roster = ingest.read_roster_csv(args.roster) if args.roster else None
+    records, rejections = ingest.aggregate(cleaned, roster, args.weeks)
+    for diag in rejections:
+        print(f"rejected record: {diag}", file=sys.stderr)
+    return ingest.score_rows(records)
 
 
 def _cmd_score(args) -> int:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .errors import (
     BadThreshold,
     EmptyCounts,
@@ -685,19 +686,20 @@ def schema_to_json(attributes, label: AttributeSpec) -> dict:
     return {"columns": columns, "label": label.name}
 
 
-def schema_from_json(obj: dict) -> tuple[tuple[AttributeSpec, ...], AttributeSpec]:
-    label_name = obj["label"]
-    attributes = []
-    label = None
-    for col in obj["columns"]:
-        spec = AttributeSpec(col["name"], col["kind"], tuple(col.get("domain", ())))
-        if spec.name == label_name:
-            label = spec
-        else:
-            attributes.append(spec)
-    if label is None:
-        raise ValueError(f"schema names label {label_name!r} but has no such column")
-    return tuple(attributes), label
+def schema_from_json(obj) -> tuple[tuple[AttributeSpec, ...], AttributeSpec]:
+    """Attributes and label of a schema document. SchemaMismatch unless it is a dict
+    with a ``label`` and ``columns``, each with a unique ``name`` and a ``kind``."""
+    try:
+        label_name = obj["label"]
+        columns = obj["columns"]
+        specs = [AttributeSpec(c["name"], c["kind"], tuple(c.get("domain", ()))) for c in columns]
+        names = {spec.name for spec in specs}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed schema: {type(exc).__name__}: {exc}") from None
+    label = [spec for spec in specs if spec.name == label_name]
+    if len(names) != len(specs) or len(label) != 1:
+        raise SchemaMismatch(f"schema needs unique column names and a column for label {label_name!r}")
+    return tuple(spec for spec in specs if spec is not label[0]), label[0]
 
 
 MODEL_FORMAT = "sacmine-tree"
@@ -779,32 +781,6 @@ def write_dataset_csv(data: Dataset, csv_path, schema_path=None) -> None:
     )
 
 
-def _column_map(header, names):
-    header = [c.strip() for c in header]
-    if sorted(header) != sorted(names):
-        raise MissingHeader(f"expected columns {sorted(names)}, got {sorted(header)}")
-    return [header.index(name) for name in names]
-
-
-def _parse_row(row, width, positions, numeric, path, line) -> list:
-    """Trimmed cells at ``positions``; those named in ``numeric`` (cell index
-    -> column name) parsed as finite floats."""
-    if len(row) != width:
-        raise SchemaMismatch(f"{path}:{line}: expected {width} fields, got {len(row)}")
-    cells = [row[p].strip() for p in positions]
-    for i, name in numeric.items():
-        try:
-            value = float(cells[i])
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise SchemaMismatch(
-                f"{path}:{line}: {name}: expected a finite number, got {cells[i]!r}"
-            )
-        cells[i] = value
-    return cells
-
-
 def read_dataset_csv(csv_path, schema_path=None, expected=None) -> Dataset:
     """Load a labeled dataset; the sidecar schema defaults to <name>.schema.json.
 
@@ -814,49 +790,25 @@ def read_dataset_csv(csv_path, schema_path=None, expected=None) -> Dataset:
     """
     csv_path = Path(csv_path)
     schema_path = default_schema_path(csv_path) if schema_path is None else Path(schema_path)
-    schema = json.loads(schema_path.read_text(encoding="utf-8"))
-    attributes, label = schema_from_json(schema)
+    try:
+        attributes, label = schema_from_json(json.loads(schema_path.read_text(encoding="utf-8")))
+    except (SchemaMismatch, ValueError) as exc:
+        raise SchemaMismatch(f"{schema_path}: {exc}") from None
     if expected is not None:
         if label != expected[1] or set(attributes) != set(expected[0]):
             raise SchemaMismatch(f"{schema_path}: columns do not match the model schema")
         attributes, label = expected
     names = [a.name for a in attributes] + [label.name]
-    numeric = {i: a.name for i, a in enumerate(attributes) if a.kind == NUMERIC}
-    instances = []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingHeader(f"{csv_path} is empty") from None
-        positions = _column_map(header, names)
-        for row in reader:
-            if not row:
-                continue
-            cells = _parse_row(row, len(header), positions, numeric, csv_path, reader.line_num)
-            instances.append(Instance(tuple(cells[:-1]), cells[-1]))
+    with tables.read(csv_path) as table:
+        if len(table.header) != len(names):
+            raise MissingHeader(f"expected the columns {names}")
+        rows = table.rows(names, {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC})
+        instances = [Instance(tuple(cells[:-1]), cells[-1]) for cells in rows]
     return Dataset(attributes, label, tuple(instances))
 
 
 def read_instances_csv(csv_path, attributes) -> list[tuple]:
     """Read unlabeled rows for prediction; any label column is ignored."""
-    names = [a.name for a in attributes]
-    numeric = {i: a.name for i, a in enumerate(attributes) if a.kind == NUMERIC}
-    rows = []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingHeader(f"{csv_path} is empty") from None
-        header = [c.strip() for c in header]
-        missing = [n for n in names if n not in header]
-        if missing:
-            raise MissingHeader(f"missing columns {missing}")
-        positions = [header.index(n) for n in names]
-        for row in reader:
-            if not row:
-                continue
-            cells = _parse_row(row, len(header), positions, numeric, csv_path, reader.line_num)
-            rows.append(tuple(cells))
-    return rows
+    numeric = {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC}
+    with tables.read(Path(csv_path)) as table:
+        return [tuple(cells) for cells in table.rows([a.name for a in attributes], numeric)]

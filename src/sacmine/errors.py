@@ -29,6 +29,10 @@ class MissingHeader(Error):
     """A CSV input does not start with the expected header row."""
 
 
+class MalformedInput(Error):
+    """An input file is not UTF-8 text that the ``csv`` module can parse."""
+
+
 class WeekOutOfRange(Error):
     """An attendance event references a week beyond the semester length."""
 
@@ -58,7 +62,7 @@ class EmptyDataset(Error):
 
 
 class SchemaMismatch(Error):
-    """Instance values do not fit the schema the tree was trained on."""
+    """Input rows or values do not fit their format or schema."""
 
 
 class InvalidFraction(Error):

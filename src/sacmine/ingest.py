@@ -8,12 +8,13 @@ counted in a :class:`CleaningReport`; nothing disappears silently.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
+from pathlib import Path
 
+from . import tables
 from .credibility import ModuleTermRecord, WeekObservation, strength_bin
 from .credibility import sac as sac_score
-from .errors import MissingHeader, WeekOutOfRange
+from .errors import SchemaMismatch, WeekOutOfRange
 
 EVENTS_HEADER = ("student_id", "module_code", "semester", "week", "status")
 ROSTER_HEADER = ("module_code", "semester", "registered")
@@ -89,69 +90,46 @@ class CleaningReport:
             raise AssertionError(f"cleaning report does not balance: {self}")
 
 
-def _as_text_lines(stream) -> io.TextIOBase:
-    if isinstance(stream, bytes):
-        return io.StringIO(stream.decode("utf-8"))
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data)
-
-
 def parse_events(stream) -> tuple[list[AttendanceEvent], CleaningReport]:
-    """Parse an events CSV into well-formed events.
+    """Parse an events CSV, given as any source :func:`tables.read` takes.
 
     The header must be exactly ``student_id,module_code,semester,week,status``.
     Malformed rows (wrong arity, bad semester, week < 1, unknown status,
-    empty identifiers) are rejected with a counted reason. Status matching
-    is case-insensitive and whitespace around fields is trimmed.
+    empty identifiers) are rejected with a counted reason.
     """
-    reader = csv.reader(_as_text_lines(stream))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingHeader("events CSV is empty") from None
-    if tuple(cell.strip() for cell in header) != EVENTS_HEADER:
-        raise MissingHeader(
-            f"expected header {','.join(EVENTS_HEADER)}, got {','.join(header)}"
-        )
-
     events: list[AttendanceEvent] = []
     report = CleaningReport()
-    for row in reader:
-        if not row:
-            continue
-        report.rows_read += 1
-        if len(row) != len(EVENTS_HEADER):
-            report.reject("wrong field count")
-            continue
-        student_id, module_code, semester_s, week_s, status_s = (c.strip() for c in row)
-        if not student_id:
-            report.reject("empty student_id")
-            continue
-        if not module_code:
-            report.reject("empty module_code")
-            continue
-        if semester_s not in ("1", "2"):
-            report.reject("bad semester")
-            continue
-        try:
-            week = int(week_s)
-        except ValueError:
-            report.reject("bad week")
-            continue
-        if week < 1:
-            report.reject("bad week")
-            continue
-        status = status_s.lower()
-        if status not in ("present", "absent"):
-            report.reject("unknown status")
-            continue
-        events.append(
-            AttendanceEvent(student_id, module_code, int(semester_s), week, status == "present")
-        )
+    with tables.read(stream) as table:
+        table.expect(EVENTS_HEADER)
+        for row in table:
+            report.rows_read += 1
+            if len(row) != len(EVENTS_HEADER):
+                report.reject("wrong field count")
+                continue
+            student_id, module_code, semester_s, week_s, status_s = row
+            if not student_id:
+                report.reject("empty student_id")
+                continue
+            if not module_code:
+                report.reject("empty module_code")
+                continue
+            if semester_s not in ("1", "2"):
+                report.reject("bad semester")
+                continue
+            try:
+                week = int(week_s)
+            except ValueError:
+                week = 0
+            if week < 1:
+                report.reject("bad week")
+                continue
+            status = status_s.lower()
+            if status not in ("present", "absent"):
+                report.reject("unknown status")
+                continue
+            events.append(
+                AttendanceEvent(student_id, module_code, int(semester_s), week, status == "present")
+            )
     report.rows_kept = len(events)
     report.check()
     return events, report
@@ -252,8 +230,7 @@ def aggregate(
 
 
 def read_events_csv(path) -> tuple[list[AttendanceEvent], CleaningReport]:
-    with open(path, "rb") as fh:
-        return parse_events(fh)
+    return parse_events(Path(path))
 
 
 def write_events_csv(events: list[AttendanceEvent], fh) -> None:
@@ -264,25 +241,17 @@ def write_events_csv(events: list[AttendanceEvent], fh) -> None:
 
 
 def read_roster_csv(path) -> list[RosterEntry]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingHeader("roster CSV is empty") from None
-        if tuple(c.strip() for c in header) != ROSTER_HEADER:
-            raise MissingHeader(f"expected header {','.join(ROSTER_HEADER)}")
-        entries = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"roster row has {len(row)} fields: {row}")
-            module_code, semester_s, registered_s = (c.strip() for c in row)
-            if semester_s not in ("1", "2"):
-                raise ValueError(f"roster row has bad semester: {row}")
-            entries.append(RosterEntry(module_code, int(semester_s), int(registered_s)))
-        return entries
+    """Read a roster: one row per module-semester, with a count >= 1."""
+    entries: dict[tuple[str, str], RosterEntry] = {}
+    with tables.read(Path(path)) as table:
+        table.expect(ROSTER_HEADER)
+        for module_code, semester_s, registered in table.rows(ROSTER_HEADER, {2: int}):
+            if not module_code or semester_s not in ("1", "2"):
+                raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s!r}")
+            if (module_code, semester_s) in entries:
+                raise SchemaMismatch(f"duplicate row for {module_code} semester {semester_s}")
+            entries[module_code, semester_s] = RosterEntry(module_code, int(semester_s), registered)
+    return list(entries.values())
 
 
 def score_rows(records: list[ModuleTermRecord]) -> list[tuple]:
@@ -312,27 +281,20 @@ def read_module_inputs_csv(path) -> list[tuple]:
     Expects header ``module_code,semester,weeks_total,attendance_taken,attend_avg``;
     returns the same row shape as :func:`score_rows`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingHeader("module inputs CSV is empty") from None
-        if tuple(c.strip() for c in header) != MODULE_INPUT_HEADER:
-            raise MissingHeader(f"expected header {','.join(MODULE_INPUT_HEADER)}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            module_code, semester_s, weeks_s, taken_s, avg_s = (c.strip() for c in row)
-            semester, weeks, taken = int(semester_s), int(weeks_s), int(taken_s)
+    rows = []
+    with tables.read(Path(path)) as table:
+        table.expect(MODULE_INPUT_HEADER)
+        counts = {1: int, 2: int, 3: int}
+        for module_code, semester, weeks, taken, avg_s in table.rows(MODULE_INPUT_HEADER, counts):
+            if not module_code or semester not in (1, 2):
+                raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester}")
             if taken == 0:
                 rows.append((module_code, semester, weeks, 0, None, None, 0))
                 continue
-            avg = float(avg_s)
+            avg = tables.number("attend_avg", avg_s, float)
             value = sac_score(avg, taken, weeks)
             rows.append((module_code, semester, weeks, taken, avg, value, strength_bin(value).value))
-        return rows
+    return rows
 
 
 def write_aggregate_csv(rows: list[tuple], fh) -> None:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import DegeneratePanel, MissingHeader, TooFewValues
+from . import tables
+from .errors import DegeneratePanel, MissingHeader, SchemaMismatch, TooFewValues
 
 POPULATION = "population"
 SAMPLE = "sample"
@@ -129,31 +131,17 @@ def cronbach_alpha(panel: SacPanel, estimator: str = POPULATION) -> AlphaBreakdo
 
 def read_panel_csv(path) -> SacPanel:
     """Load a panel CSV: header ``module_code,<year1>,<year2>,...``."""
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingHeader("panel CSV is empty") from None
-        header = [c.strip() for c in header]
-        if not header or header[0] != "module_code" or len(header) < 3:
+    rows: dict[str, tuple[float, ...]] = {}
+    with tables.read(Path(path)) as table:
+        years = table.header[1:]
+        if table.header[:1] != ("module_code",) or len(years) < 2:
             raise MissingHeader("expected header module_code,<year1>,<year2>,...")
-        year_labels = tuple(header[1:])
-        codes: list[str] = []
-        rows: list[tuple[float, ...]] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"panel row has {len(row)} fields, expected {len(header)}")
-            code = row[0].strip()
-            if code in codes:
-                raise ValueError(f"duplicate module row {code}")
-            codes.append(code)
-            rows.append(tuple(float(c) for c in row[1:]))
-    return SacPanel(tuple(codes), year_labels, tuple(rows))
+        numeric = dict.fromkeys(range(1, len(table.header)), float)
+        for code, *values in table.rows(table.header, numeric):
+            if code in rows:
+                raise SchemaMismatch(f"duplicate module row {code}")
+            rows[code] = tuple(values)
+    return SacPanel(tuple(rows), years, tuple(rows.values()))
 
 
 def breakdown_to_json(breakdown: AlphaBreakdown) -> dict:

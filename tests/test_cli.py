@@ -41,6 +41,25 @@ class TestScore:
         assert [round(r["sac"], 3) for r in doc] == [0.067, 0.349, 0.812]
         assert [r["sac_strength"] for r in doc] == [1, 4, 9]
 
+    def test_events_input_reports_row_accounting_on_stderr(self, capsys, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "student_id,module_code,semester,week,status\n"
+            "s1,M1,1,1,present\n"
+            "s2,M1,1,1,absent\n"
+            "s3,M1,3,1,present\n"
+            "s4,M1,1\n"
+        )
+        assert run(["score", "--in", str(events)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "M1 sem 1: sac 0.045 strength 1 (taken 1)\n"
+        assert captured.err.splitlines() == [
+            "read 4 rows: kept 2, rejected 2",
+            "  rejected 1: bad semester",
+            "  rejected 1: wrong field count",
+            "cleaned to 2 events: 0 duplicates dropped, 0 conflicts resolved",
+        ]
+
 
 class TestReliability:
     def test_mixed_mode_prints_published_alpha(self, capsys, tmp_path):
@@ -242,6 +261,96 @@ class TestMalformedInputs:
         schema_path.write_text(json.dumps(schema))
         assert run(["evaluate", "--in", str(ds), "--model", str(model)]) == 1
         assert "columns do not match the model schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            ["attend_avg"],
+            {"columns": []},
+            {"label": "SAC_Strength"},
+            {"label": "SAC_Strength", "columns": [{"kind": "numeric"}]},
+            {"label": "SAC_Strength", "columns": [{"name": "attend_avg"}]},
+            {"label": "SAC_Strength", "columns": [{"name": "attend_avg", "kind": "numeric"}] * 2},
+        ],
+        ids=["not-a-dict", "no-label", "no-columns", "column-without-name",
+             "column-without-kind", "duplicate-names"],
+    )
+    def test_train_rejects_malformed_schema(self, capsys, tmp_path, schema):
+        ds = make_dataset(tmp_path)
+        (tmp_path / "ds.schema.json").write_text(json.dumps(schema))
+        capsys.readouterr()
+        assert run(["train", "--in", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaMismatch: ") and "ds.schema.json" in err
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [(",1,20\n", "bad module_code"), ("M1,1,20\nM1,1,30\n", "duplicate row for M1 semester 1")],
+        ids=["empty-module-code", "duplicate-module-semester"],
+    )
+    def test_score_rejects_bad_roster_rows(self, capsys, tmp_path, rows, fault):
+        events = tmp_path / "events.csv"
+        events.write_text("student_id,module_code,semester,week,status\ns1,M1,1,1,present\n")
+        roster = tmp_path / "roster.csv"
+        roster.write_text("module_code,semester,registered\n" + rows)
+        assert run(["score", "--in", str(events), "--roster", str(roster)]) == 1
+        err = capsys.readouterr().err
+        assert f"roster.csv:{rows.count(chr(10)) + 1}: {fault}" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("M1,1,11", "expected 5 fields, got 3"),
+            ("M1,1,11,three,50.0", "attendance_taken: expected an integer, got 'three'"),
+            ("M1,1,11,2,nan", "attend_avg: expected a finite number, got 'nan'"),
+            ("M1,1,11,12,50.0", "need 1 <= taken_count <= weeks_total"),
+            (",1,11,2,50.0", "bad module_code or semester: '',1"),
+            ("M1,3,11,2,50.0", "bad module_code or semester: 'M1',3"),
+        ],
+        ids=["short-row", "text-count", "nan-average", "taken-above-weeks", "empty-module-code",
+             "semester-3"],
+    )
+    def test_score_rejects_bad_module_inputs(self, capsys, tmp_path, row, message):
+        inputs = tmp_path / "modules.csv"
+        inputs.write_text(
+            "module_code,semester,weeks_total,attendance_taken,attend_avg\n"
+            f"M0,1,11,11,80.0\n{row}\n"
+        )
+        assert run(["score", "--in", str(inputs)]) == 1
+        assert f"modules.csv:3: {message}" in capsys.readouterr().err
+
+    def test_byte_order_mark_and_quoted_header_change_nothing(self, capsys, tmp_path):
+        plain = tmp_path / "plain.csv"
+        assert run(["gen", "--kind", "events", "--modules", "2", "--seed", "4", "--out", str(plain)]) == 0
+        header, body = plain.read_text().split("\n", 1)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(",".join(f'"{name}"' for name in header.split(",")) + "\n" + body)
+        outputs = []
+        for source in (plain, bom, quoted):
+            capsys.readouterr()
+            assert run(["ingest", "--in", str(source)]) == 0
+            assert run(["score", "--in", str(source)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_oversized_field_is_malformed_input(self, capsys, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "student_id,module_code,semester,week,status\n"
+            f"s1,M1,1,1,present\ns2,{'M' * 200_000},1,1,present\n"
+        )
+        for command in ("ingest", "score"):
+            assert run([command, "--in", str(events)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: MalformedInput: ") and "events.csv:3: field larger" in err
+
+    def test_invalid_utf8_names_its_line(self, capsys, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_bytes(b"module_code,y1,y2\nA,0.1,0.2\nB,0.3,0.4\nC\xff,0.5,0.6\n")
+        assert run(["reliability", "--in", str(panel)]) == 1
+        assert "panel.csv:4: not UTF-8" in capsys.readouterr().err
 
 
 class TestDeterminism:

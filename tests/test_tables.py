@@ -1,0 +1,39 @@
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+import sacmine
+from sacmine import tables
+from sacmine.errors import MalformedInput, SchemaMismatch
+from sacmine.ingest import parse_events
+
+HEADER = "student_id,module_code,semester,week,status\n"
+
+
+def test_only_one_module_calls_csv_reader():
+    package = Path(sacmine.__file__).parent
+    callers = [p.name for p in sorted(package.glob("*.py")) if "csv.reader(" in p.read_text()]
+    assert callers == ["tables.py"]
+
+
+def test_a_binary_handle_is_left_open():
+    handle = io.BytesIO((HEADER + "s1,M1,1,1,present\n").encode())
+    events, _ = parse_events(handle)
+    assert len(events) == 1 and not handle.closed
+
+
+@pytest.mark.parametrize("bad_line", [2, 3000])
+def test_bad_utf8_names_its_line_past_the_first_chunk(bad_line):
+    rows = [b"s%d,M1,1,1,present\n" % i for i in range(4000)]
+    rows[bad_line - 2] = b"s\xff,M1,1,1,present\n"
+    with pytest.raises(MalformedInput, match=f"^<input>:{bad_line}: not UTF-8"):
+        parse_events(HEADER.encode() + b"".join(rows))
+
+
+def test_row_errors_name_the_line_of_the_row():
+    source = "a,b\n1,2\n\n3,x\n"
+    with pytest.raises(SchemaMismatch, match=re.escape("<input>:4: b: expected a finite number, got 'x'")):
+        with tables.read(source) as table:
+            list(table.rows(["a", "b"], {0: float, 1: float}))
