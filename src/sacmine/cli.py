@@ -94,26 +94,26 @@ def _criterion(name: str) -> str:
     return dtree.GAIN if name == "gain" else dtree.GAIN_RATIO
 
 
-def _print_accounting(parse_report, clean_report, file) -> None:
+def _clean_events(path: str, file) -> list:
+    """Parse and clean an events CSV, printing its row accounting to ``file``."""
+    events, parsed = ingest.parse_events(Path(path))
+    cleaned, cleaning = ingest.clean_events(events)
     print(
-        f"read {parse_report.rows_read} rows: kept {parse_report.rows_kept}, "
-        f"rejected {parse_report.rows_rejected}",
+        f"read {parsed.rows_read} rows: kept {parsed.rows_kept}, rejected {parsed.rows_rejected}",
         file=file,
     )
-    for reason, count in sorted(parse_report.rejection_reasons.items()):
+    for reason, count in sorted(parsed.rejection_reasons.items()):
         print(f"  rejected {count}: {reason}", file=file)
     print(
-        f"cleaned to {clean_report.rows_kept} events: "
-        f"{clean_report.duplicates_dropped} duplicates dropped, "
-        f"{clean_report.conflicts_resolved} conflicts resolved",
+        f"cleaned to {cleaning.rows_kept} events: {cleaning.duplicates_dropped} duplicates "
+        f"dropped, {cleaning.conflicts_resolved} conflicts resolved",
         file=file,
     )
+    return cleaned
 
 
 def _cmd_ingest(args) -> int:
-    events, parse_report = ingest.read_events_csv(args.infile)
-    cleaned, clean_report = ingest.clean_events(events)
-    _print_accounting(parse_report, clean_report, sys.stdout)
+    cleaned = _clean_events(args.infile, sys.stdout)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             ingest.write_events_csv(cleaned, fh)
@@ -126,9 +126,7 @@ def _score_rows_from_input(args) -> list[tuple]:
         is_events = table.header == ingest.EVENTS_HEADER
     if not is_events:
         return ingest.read_module_inputs_csv(args.infile)
-    events, parse_report = ingest.read_events_csv(args.infile)
-    cleaned, clean_report = ingest.clean_events(events)
-    _print_accounting(parse_report, clean_report, sys.stderr)
+    cleaned = _clean_events(args.infile, sys.stderr)
     roster = ingest.read_roster_csv(args.roster) if args.roster else None
     records, rejections = ingest.aggregate(cleaned, roster, args.weeks)
     for diag in rejections:
@@ -148,18 +146,7 @@ def _cmd_score(args) -> int:
             with open(args.out, "w", newline="", encoding="utf-8") as fh:
                 ingest.write_aggregate_csv(rows, fh)
         else:
-            doc = [
-                {
-                    "module_code": r[0],
-                    "semester": r[1],
-                    "weeks_total": r[2],
-                    "attendance_taken": r[3],
-                    "attend_avg": r[4],
-                    "sac": r[5],
-                    "sac_strength": r[6],
-                }
-                for r in rows
-            ]
+            doc = [dict(zip(ingest.AGGREGATE_HEADER, r)) for r in rows]
             _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -91,16 +91,16 @@ class Dataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "instances", tuple(self.instances))
         names = [a.name for a in self.attributes] + [self.label.name]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate column names: {names}")
         if self.label.kind != NOMINAL:
             raise ValueError("label must be nominal")
-        for inst in self.instances:
-            self._validate(inst)
+        # Each instance is checked as it is drawn, so a reader that passes a
+        # generator over its rows gets every error while it is on that row.
+        object.__setattr__(self, "instances", tuple(map(self._validate, self.instances)))
 
-    def _validate(self, inst: Instance) -> None:
+    def _validate(self, inst: Instance) -> Instance:
         if len(inst.values) != len(self.attributes):
             raise SchemaMismatch(
                 f"instance has {len(inst.values)} values, schema has {len(self.attributes)}"
@@ -113,6 +113,7 @@ class Dataset:
                 raise SchemaMismatch(f"{spec.name}: {v!r} not in domain {spec.domain}")
         if inst.label not in self.label.domain:
             raise SchemaMismatch(f"label {inst.label!r} not in {self.label.domain}")
+        return inst
 
     def attribute_index(self, name: str) -> int:
         for i, spec in enumerate(self.attributes):
@@ -251,10 +252,9 @@ def _best_split(instances, pos, spec, domain, criterion, min_leaf, threshold=Non
         return (_split_score(parent, parts, n, criterion) if usable else 0.0), None
     values = sorted(by_value)
     best = (0.0 if threshold is None else -math.inf, None)
-    thresholds = [threshold] if threshold is not None else [
-        (v1 + v2) / 2.0 for v1, v2 in zip(values, values[1:])
-        if [c > 0 for c in by_value[v1]] != [c > 0 for c in by_value[v2]]
-    ]
+    thresholds = [threshold] if threshold is not None else _midpoints(
+        values, lambda v: [c > 0 for c in by_value[v]]
+    )
     left, j = [0] * len(domain), 0
     for t in thresholds:  # midpoints never decrease, so values move left in one pass
         while j < len(values) and values[j] <= t:
@@ -295,18 +295,19 @@ def gain_ratio(data: Dataset, attribute: str, threshold: float | None = None) ->
     return _score_at(data, attribute, threshold, GAIN_RATIO)
 
 
+def _midpoints(values, classes) -> list[float]:
+    """The candidate rule: midpoints between consecutive sorted distinct ``values``
+    whose class sets, as ``classes(value)`` gives them, differ."""
+    return [(v1 + v2) / 2.0 for v1, v2 in zip(values, values[1:]) if classes(v1) != classes(v2)]
+
+
 def numeric_candidates(instances, index) -> list[float]:
     """Candidate thresholds: midpoints between consecutive distinct values
     whose class sets differ."""
     by_value: dict[float, set[str]] = {}
     for inst in instances:
         by_value.setdefault(inst.values[index], set()).add(inst.label)
-    values = sorted(by_value)
-    return [
-        (v1 + v2) / 2.0
-        for v1, v2 in zip(values, values[1:])
-        if by_value[v1] != by_value[v2]
-    ]
+    return _midpoints(sorted(by_value), by_value.__getitem__)
 
 
 def _check_criterion(criterion: str) -> None:
@@ -688,7 +689,8 @@ def schema_to_json(attributes, label: AttributeSpec) -> dict:
 
 def schema_from_json(obj) -> tuple[tuple[AttributeSpec, ...], AttributeSpec]:
     """Attributes and label of a schema document. SchemaMismatch unless it is a dict
-    with a ``label`` and ``columns``, each with a unique ``name`` and a ``kind``."""
+    with a ``label`` and ``columns``, each with a unique ``name`` and a ``kind``, and
+    the label's column is nominal."""
     try:
         label_name = obj["label"]
         columns = obj["columns"]
@@ -696,9 +698,11 @@ def schema_from_json(obj) -> tuple[tuple[AttributeSpec, ...], AttributeSpec]:
         names = {spec.name for spec in specs}
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed schema: {type(exc).__name__}: {exc}") from None
-    label = [spec for spec in specs if spec.name == label_name]
+    label = [spec for spec in specs if spec.name == label_name and spec.kind == NOMINAL]
     if len(names) != len(specs) or len(label) != 1:
-        raise SchemaMismatch(f"schema needs unique column names and a column for label {label_name!r}")
+        raise SchemaMismatch(
+            f"schema needs unique column names and a nominal column for label {label_name!r}"
+        )
     return tuple(spec for spec in specs if spec is not label[0]), label[0]
 
 
@@ -754,7 +758,9 @@ def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec
         attributes, label = schema_from_json(doc["schema"])
         tree = tree_from_json(doc["tree"])
         _check_tree(tree, attributes, label)
-    except (KeyError, TypeError, AttributeError, SchemaMismatch) as exc:
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaMismatch(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
     return tree, attributes, label
 
@@ -803,8 +809,7 @@ def read_dataset_csv(csv_path, schema_path=None, expected=None) -> Dataset:
         if len(table.header) != len(names):
             raise MissingHeader(f"expected the columns {names}")
         rows = table.rows(names, {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC})
-        instances = [Instance(tuple(cells[:-1]), cells[-1]) for cells in rows]
-    return Dataset(attributes, label, tuple(instances))
+        return Dataset(attributes, label, (Instance(tuple(cells[:-1]), cells[-1]) for cells in rows))
 
 
 def read_instances_csv(csv_path, attributes) -> list[tuple]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import tables
-from .credibility import ModuleTermRecord, WeekObservation, strength_bin
+from .credibility import ModuleTermRecord, WeekObservation, attendance_average, strength_bin
 from .credibility import sac as sac_score
 from .errors import SchemaMismatch, WeekOutOfRange
 
@@ -41,8 +41,9 @@ class AttendanceEvent:
     present: bool
 
     @property
-    def key(self) -> tuple[str, str, int, int]:
-        return (self.student_id, self.module_code, self.semester, self.week_index)
+    def key(self) -> tuple[str, int, int, str]:
+        """The student-module-week this event records, ordered as cleaned output is."""
+        return (self.module_code, self.semester, self.week_index, self.student_id)
 
     @property
     def status(self) -> str:
@@ -136,30 +137,32 @@ def parse_events(stream) -> tuple[list[AttendanceEvent], CleaningReport]:
 
 
 def clean_events(events: list[AttendanceEvent]) -> tuple[list[AttendanceEvent], CleaningReport]:
-    """Deduplicate events down to one per (student, module, semester, week).
+    """Deduplicate events down to one per :attr:`AttendanceEvent.key`.
 
     When the same key carries both a present and an absent row, present
     wins: double scans are far more common than phantom ones. Output is
-    sorted by module, semester, week, student, so the result is a pure
-    function of the input set.
+    sorted by key (module, semester, week, student), so the result is a
+    pure function of the input set.
     """
-    groups: dict[tuple, list[AttendanceEvent]] = {}
+    winners: dict[tuple, AttendanceEvent] = {}
+    conflicts: set[tuple] = set()
     for event in events:
-        groups.setdefault(event.key, []).append(event)
-
-    report = CleaningReport(rows_read=len(events))
-    kept: list[AttendanceEvent] = []
-    for key, group in groups.items():
-        statuses = {e.present for e in group}
-        winner = group[0] if len(statuses) == 1 else next(e for e in group if e.present)
-        kept.append(winner)
-        report.duplicates_dropped += len(group) - 1
-        if len(statuses) > 1:
-            report.conflicts_resolved += 1
-    kept.sort(key=lambda e: (e.module_code, e.semester, e.week_index, e.student_id))
-    report.rows_kept = len(kept)
+        key = event.key
+        winner = winners.get(key)
+        if winner is None:
+            winners[key] = event
+        elif event.present != winner.present:
+            conflicts.add(key)
+            if event.present:
+                winners[key] = event
+    report = CleaningReport(
+        rows_read=len(events),
+        rows_kept=len(winners),
+        duplicates_dropped=len(events) - len(winners),
+        conflicts_resolved=len(conflicts),
+    )
     report.check()
-    return kept, report
+    return [winners[key] for key in sorted(winners)], report
 
 
 def aggregate(
@@ -179,24 +182,18 @@ def aggregate(
     """
     if weeks_total < 1:
         raise ValueError(f"weeks_total must be >= 1, got {weeks_total}")
+    roster_map = {(entry.module_code, entry.semester): entry.registered for entry in roster or []}
+
+    present: dict[tuple[str, int], dict[int, int]] = {}
+    students: dict[tuple[str, int], set[str]] = {}
     for event in events:
         if event.week_index > weeks_total:
             raise WeekOutOfRange(
                 f"{event.module_code} week {event.week_index} beyond weeks_total {weeks_total}"
             )
-
-    roster_map: dict[tuple[str, int], int] = {}
-    for entry in roster or []:
-        roster_map[(entry.module_code, entry.semester)] = entry.registered
-
-    present: dict[tuple[str, int], dict[int, int]] = {}
-    students: dict[tuple[str, int], set[str]] = {}
-    for event in events:
         key = (event.module_code, event.semester)
         weeks = present.setdefault(key, {})
-        weeks.setdefault(event.week_index, 0)
-        if event.present:
-            weeks[event.week_index] += 1
+        weeks[event.week_index] = weeks.get(event.week_index, 0) + event.present
         students.setdefault(key, set()).add(event.student_id)
 
     keys = sorted(set(present) | set(roster_map))
@@ -209,28 +206,20 @@ def aggregate(
             continue
         registered = roster_map.get(key, len(students[key]))
         observations = []
-        corrupt = None
-        for week in sorted(present[key]):
-            attended = present[key][week]
+        for week, attended in sorted(present[key].items()):
             if attended > registered:
-                corrupt = (
+                rejections.append(
                     f"{module_code} semester {semester} week {week}: "
                     f"{attended} present exceeds {registered} registered"
                 )
                 break
-            observations.append(WeekObservation(week, attended, registered, taken=True))
-        if corrupt:
-            rejections.append(corrupt)
-            continue
-        records.append(ModuleTermRecord(module_code, semester, weeks_total, tuple(observations)))
+            observations.append(WeekObservation(week, attended, registered))
+        else:
+            records.append(ModuleTermRecord(module_code, semester, weeks_total, tuple(observations)))
     return records, rejections
 
 
 # --- CSV surfaces -----------------------------------------------------------
-
-
-def read_events_csv(path) -> tuple[list[AttendanceEvent], CleaningReport]:
-    return parse_events(Path(path))
 
 
 def write_events_csv(events: list[AttendanceEvent], fh) -> None:
@@ -254,24 +243,21 @@ def read_roster_csv(path) -> list[RosterEntry]:
     return list(entries.values())
 
 
+def _scored(module_code: str, semester: int, weeks: int, taken: int, avg: float | None) -> tuple:
+    """One aggregate-CSV row; with no week taken, ``avg`` is None and the row blank."""
+    if taken == 0:
+        return (module_code, semester, weeks, 0, None, None, 0)
+    value = sac_score(avg, taken, weeks)
+    return (module_code, semester, weeks, taken, avg, value, strength_bin(value).value)
+
+
 def score_rows(records: list[ModuleTermRecord]) -> list[tuple]:
     """Turn records into aggregate-CSV rows; flagged records get blanks."""
     rows = []
     for r in records:
-        if r.flagged:
-            rows.append((r.module_code, r.semester, r.weeks_total, 0, None, None, 0))
-        else:
-            rows.append(
-                (
-                    r.module_code,
-                    r.semester,
-                    r.weeks_total,
-                    r.taken_count,
-                    r.attend_avg,
-                    r.sac,
-                    strength_bin(r.sac).value,
-                )
-            )
+        taken = r.taken_count
+        avg = attendance_average(r) if taken else None
+        rows.append(_scored(r.module_code, r.semester, r.weeks_total, taken, avg))
     return rows
 
 
@@ -288,12 +274,8 @@ def read_module_inputs_csv(path) -> list[tuple]:
         for module_code, semester, weeks, taken, avg_s in table.rows(MODULE_INPUT_HEADER, counts):
             if not module_code or semester not in (1, 2):
                 raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester}")
-            if taken == 0:
-                rows.append((module_code, semester, weeks, 0, None, None, 0))
-                continue
-            avg = tables.number("attend_avg", avg_s, float)
-            value = sac_score(avg, taken, weeks)
-            rows.append((module_code, semester, weeks, taken, avg, value, strength_bin(value).value))
+            avg = tables.number("attend_avg", avg_s, float) if taken else None
+            rows.append(_scored(module_code, semester, weeks, taken, avg))
     return rows
 
 

@@ -29,6 +29,15 @@ MIXED = "paper-mixed"
 ESTIMATORS = (POPULATION, SAMPLE, MIXED)
 
 
+def _check_row(code: str, row, k: int) -> None:
+    """Raise ValueError unless ``row`` holds ``k`` SAC values, each in [0, 1]."""
+    if len(row) != k:
+        raise ValueError(f"{code}: row has {len(row)} cells, expected {k}")
+    for v in row:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{code}: SAC value {v} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class SacPanel:
     """Complete modules-by-years matrix of SAC values in [0, 1]."""
@@ -48,11 +57,7 @@ class SacPanel:
         if len(self.values) != len(self.module_codes):
             raise ValueError("one row per module required")
         for code, row in zip(self.module_codes, self.values):
-            if len(row) != len(self.year_labels):
-                raise ValueError(f"{code}: row has {len(row)} cells, expected {len(self.year_labels)}")
-            for v in row:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{code}: SAC value {v} outside [0, 1]")
+            _check_row(code, row, len(self.year_labels))
 
     @property
     def m(self) -> int:
@@ -140,6 +145,7 @@ def read_panel_csv(path) -> SacPanel:
         for code, *values in table.rows(table.header, numeric):
             if code in rows:
                 raise SchemaMismatch(f"duplicate module row {code}")
+            _check_row(code, values, len(years))
             rows[code] = tuple(values)
     return SacPanel(tuple(rows), years, tuple(rows.values()))
 

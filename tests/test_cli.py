@@ -352,6 +352,49 @@ class TestMalformedInputs:
         assert run(["reliability", "--in", str(panel)]) == 1
         assert "panel.csv:4: not UTF-8" in capsys.readouterr().err
 
+    def test_rules_wraps_a_schema_error_once(self, capsys, tmp_path):
+        ds = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        del doc["schema"]["label"]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["rules", "--in", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: SchemaMismatch: {model}: malformed schema: KeyError: 'label'\n"
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [(2, "3", "sem_no: '3' not in domain"), (3, "11", "label '11' not in")],
+        ids=["nominal-value", "label"],
+    )
+    def test_train_names_the_line_of_a_value_outside_its_domain(
+        self, capsys, tmp_path, column, value, message
+    ):
+        ds = make_dataset(tmp_path)
+        self.replace_line(ds, 3, lambda line: ",".join(
+            value if i == column else cell for i, cell in enumerate(line.split(","))
+        ))
+        assert run(["train", "--in", str(ds)]) == 1
+        assert f"ds.csv:3: {message}" in capsys.readouterr().err
+
+    def test_train_names_the_schema_of_a_numeric_label(self, capsys, tmp_path):
+        ds = make_dataset(tmp_path)
+        schema_path = tmp_path / "ds.schema.json"
+        schema = json.loads(schema_path.read_text())
+        schema["columns"][-1] = {"name": "SAC_Strength", "kind": "numeric"}
+        schema_path.write_text(json.dumps(schema))
+        assert run(["train", "--in", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: SchemaMismatch: {schema_path}: ") and "nominal column" in err
+
+    def test_reliability_names_the_line_of_a_value_outside_0_1(self, capsys, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("module_code,y1,y2\nA,0.1,0.2\nB,1.5,0.4\nC,0.5,0.6\n")
+        assert run(["reliability", "--in", str(panel)]) == 1
+        assert "panel.csv:3: B: SAC value 1.5 outside [0, 1]" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_artifacts(self, tmp_path):
