@@ -94,10 +94,9 @@ def _criterion(name: str) -> str:
     return dtree.GAIN if name == "gain" else dtree.GAIN_RATIO
 
 
-def _clean_events(path: str, file) -> list:
-    """Parse and clean an events CSV, printing its row accounting to ``file``."""
-    events, parsed = ingest.parse_events(Path(path))
-    cleaned, cleaning = ingest.clean_events(events)
+def _read_events(path: str, weeks_total: int | None, file) -> ingest.EventMap:
+    """Stream an events CSV into its event map, printing its row accounting to ``file``."""
+    winners, parsed, cleaning = ingest.read_event_map(Path(path), weeks_total)
     print(
         f"read {parsed.rows_read} rows: kept {parsed.rows_kept}, rejected {parsed.rows_rejected}",
         file=file,
@@ -109,14 +108,14 @@ def _clean_events(path: str, file) -> list:
         f"dropped, {cleaning.conflicts_resolved} conflicts resolved",
         file=file,
     )
-    return cleaned
+    return winners
 
 
 def _cmd_ingest(args) -> int:
-    cleaned = _clean_events(args.infile, sys.stdout)
+    winners = _read_events(args.infile, None, sys.stdout)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            ingest.write_events_csv(cleaned, fh)
+            ingest.write_event_map_csv(winners, fh)
     return 0
 
 
@@ -126,9 +125,9 @@ def _score_rows_from_input(args) -> list[tuple]:
         is_events = table.header == ingest.EVENTS_HEADER
     if not is_events:
         return ingest.read_module_inputs_csv(args.infile)
-    cleaned = _clean_events(args.infile, sys.stderr)
+    winners = _read_events(args.infile, args.weeks, sys.stderr)
     roster = ingest.read_roster_csv(args.roster) if args.roster else None
-    records, rejections = ingest.aggregate(cleaned, roster, args.weeks)
+    records, rejections = ingest.aggregate_event_map(winners, roster, args.weeks)
     for diag in rejections:
         print(f"rejected record: {diag}", file=sys.stderr)
     return ingest.score_rows(records)

@@ -3,12 +3,21 @@
 Raw event logs are noisy: duplicated scans, contradictory rows for the
 same student-week, malformed fields. Everything dropped or rewritten is
 counted in a :class:`CleaningReport`; nothing disappears silently.
+
+The CLI streams an events CSV straight into an event map, ``key -> present``
+(:func:`read_event_map`), with no object per row. :func:`parse_events`,
+:func:`clean_events`, :func:`aggregate` and :func:`write_events_csv` take
+the same steps over :class:`AttendanceEvent` lists. Both paths share one
+function per rule: row validation, the present-wins dedupe and the weekly
+tally.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from . import tables
@@ -28,6 +37,9 @@ AGGREGATE_HEADER = (
     "sac",
     "sac_strength",
 )
+
+# An events log after cleaning: (module_code, semester, week, student_id) -> present.
+EventMap = dict[tuple[str, int, int, str], bool]
 
 
 @dataclass(frozen=True)
@@ -98,40 +110,13 @@ def parse_events(stream) -> tuple[list[AttendanceEvent], CleaningReport]:
     Malformed rows (wrong arity, bad semester, week < 1, unknown status,
     empty identifiers) are rejected with a counted reason.
     """
-    events: list[AttendanceEvent] = []
     report = CleaningReport()
     with tables.read(stream) as table:
         table.expect(EVENTS_HEADER)
-        for row in table:
-            report.rows_read += 1
-            if len(row) != len(EVENTS_HEADER):
-                report.reject("wrong field count")
-                continue
-            student_id, module_code, semester_s, week_s, status_s = row
-            if not student_id:
-                report.reject("empty student_id")
-                continue
-            if not module_code:
-                report.reject("empty module_code")
-                continue
-            if semester_s not in ("1", "2"):
-                report.reject("bad semester")
-                continue
-            try:
-                week = int(week_s)
-            except ValueError:
-                week = 0
-            if week < 1:
-                report.reject("bad week")
-                continue
-            status = status_s.lower()
-            if status not in ("present", "absent"):
-                report.reject("unknown status")
-                continue
-            events.append(
-                AttendanceEvent(student_id, module_code, int(semester_s), week, status == "present")
-            )
-    report.rows_kept = len(events)
+        events = [
+            AttendanceEvent(student_id, module_code, semester, week, present)
+            for (module_code, semester, week, student_id), present in _valid_rows(table, report)
+        ]
     report.check()
     return events, report
 
@@ -144,24 +129,7 @@ def clean_events(events: list[AttendanceEvent]) -> tuple[list[AttendanceEvent], 
     sorted by key (module, semester, week, student), so the result is a
     pure function of the input set.
     """
-    winners: dict[tuple, AttendanceEvent] = {}
-    conflicts: set[tuple] = set()
-    for event in events:
-        key = event.key
-        winner = winners.get(key)
-        if winner is None:
-            winners[key] = event
-        elif event.present != winner.present:
-            conflicts.add(key)
-            if event.present:
-                winners[key] = event
-    report = CleaningReport(
-        rows_read=len(events),
-        rows_kept=len(winners),
-        duplicates_dropped=len(events) - len(winners),
-        conflicts_resolved=len(conflicts),
-    )
-    report.check()
+    winners, report = _dedupe(((event.key, event) for event in events), attrgetter("present"))
     return [winners[key] for key in sorted(winners)], report
 
 
@@ -180,21 +148,132 @@ def aggregate(
     (corrupt data is dropped, never clamped). Roster modules with no
     events at all are emitted flagged, with zero taken weeks.
     """
+    return _tally(((event.key, event.present) for event in events), roster, weeks_total)
+
+
+def read_event_map(
+    source, weeks_total: int | None = None
+) -> tuple[EventMap, CleaningReport, CleaningReport]:
+    """Stream an events CSV straight into its event map, ``key -> present``.
+
+    Rows are validated as :func:`parse_events` does and deduplicated as
+    :func:`clean_events` does, without an event object or list per row, so
+    memory grows with the distinct keys, not with the file. Returns the map
+    in first-seen order with the parse and the cleaning report. With
+    ``weeks_total``, a valid row for a later week raises WeekOutOfRange
+    naming its line.
+    """
+    limit = math.inf if weeks_total is None else _week_limit(weeks_total)
+    parsed = CleaningReport()
+    with tables.read(source) as table:
+        table.expect(EVENTS_HEADER)
+        winners, cleaning = _dedupe(_valid_rows(table, parsed, limit))
+    parsed.check()
+    return winners, parsed, cleaning
+
+
+def aggregate_event_map(
+    winners: EventMap, roster: list[RosterEntry] | None = None, weeks_total: int = 11
+) -> tuple[list[ModuleTermRecord], list[str]]:
+    """:func:`aggregate` over an event map from :func:`read_event_map`, unsorted."""
+    return _tally(winners.items(), roster, weeks_total)
+
+
+# --- the rules: row validation, present-wins dedupe, weekly tally ----------
+
+_SEMESTERS = {"1": 1, "2": 2}
+_STATUSES = {"present": True, "absent": False}
+
+
+def _week_limit(weeks_total: int) -> int:
     if weeks_total < 1:
         raise ValueError(f"weeks_total must be >= 1, got {weeks_total}")
+    return weeks_total
+
+
+def _week_beyond(module_code: str, week: int, weeks_total: int) -> WeekOutOfRange:
+    return WeekOutOfRange(f"{module_code} week {week} beyond weeks_total {weeks_total}")
+
+
+def _valid_rows(table: tables.Table, report: CleaningReport, weeks_total: float = math.inf):
+    """Each valid row of an events table as ``(key, present)``, in file order.
+
+    Every other row is counted in ``report`` under its first defect; a valid
+    row for a week beyond ``weeks_total`` raises WeekOutOfRange.
+    """
+    for row in table:
+        report.rows_read += 1
+        if len(row) != len(EVENTS_HEADER):
+            report.reject("wrong field count")
+            continue
+        student_id, module_code, semester_s, week_s, status_s = row
+        if not student_id:
+            report.reject("empty student_id")
+            continue
+        if not module_code:
+            report.reject("empty module_code")
+            continue
+        semester = _SEMESTERS.get(semester_s)
+        if semester is None:
+            report.reject("bad semester")
+            continue
+        try:
+            week = int(week_s)
+        except ValueError:
+            week = 0
+        if week < 1:
+            report.reject("bad week")
+            continue
+        present = _STATUSES.get(status_s.lower())
+        if present is None:
+            report.reject("unknown status")
+            continue
+        if week > weeks_total:
+            raise _week_beyond(module_code, week, weeks_total)
+        report.rows_kept += 1
+        yield (module_code, semester, week, student_id), present
+
+
+def _dedupe(pairs, present=bool) -> tuple[dict, CleaningReport]:
+    """Keep one value per key from ``(key, value)`` pairs: the first seen,
+    unless a later one is present where it is absent. ``present`` reads a
+    value's status; it is called only for a key seen before."""
+    winners: dict = {}
+    conflicts: set = set()
+    rows = 0
+    for rows, (key, value) in enumerate(pairs, 1):
+        winner = winners.setdefault(key, value)
+        if winner is not value and present(winner) != present(value):
+            conflicts.add(key)
+            if present(value):
+                winners[key] = value
+    report = CleaningReport(
+        rows_read=rows,
+        rows_kept=len(winners),
+        duplicates_dropped=rows - len(winners),
+        conflicts_resolved=len(conflicts),
+    )
+    report.check()
+    return winners, report
+
+
+def _tally(pairs, roster: list[RosterEntry] | None, weeks_total: int):
+    """:func:`aggregate` over ``(key, present)`` pairs in any order."""
+    _week_limit(weeks_total)
     roster_map = {(entry.module_code, entry.semester): entry.registered for entry in roster or []}
 
     present: dict[tuple[str, int], dict[int, int]] = {}
     students: dict[tuple[str, int], set[str]] = {}
-    for event in events:
-        if event.week_index > weeks_total:
-            raise WeekOutOfRange(
-                f"{event.module_code} week {event.week_index} beyond weeks_total {weeks_total}"
-            )
-        key = (event.module_code, event.semester)
-        weeks = present.setdefault(key, {})
-        weeks[event.week_index] = weeks.get(event.week_index, 0) + event.present
-        students.setdefault(key, set()).add(event.student_id)
+    for (module_code, semester, week, student_id), attended in pairs:
+        if week > weeks_total:
+            raise _week_beyond(module_code, week, weeks_total)
+        key = (module_code, semester)
+        weeks = present.get(key)
+        if weeks is None:
+            weeks = present[key] = {}
+            students[key] = set()
+        weeks[week] = weeks.get(week, 0) + attended
+        students[key].add(student_id)
 
     keys = sorted(set(present) | set(roster_map))
     records: list[ModuleTermRecord] = []
@@ -223,10 +302,21 @@ def aggregate(
 
 
 def write_events_csv(events: list[AttendanceEvent], fh) -> None:
+    _write_events(((event.key, event.present) for event in events), fh)
+
+
+def write_event_map_csv(winners: EventMap, fh) -> None:
+    """Write an event map as cleaned events, sorted by key as :func:`clean_events` sorts."""
+    _write_events(sorted(winners.items()), fh)
+
+
+def _write_events(pairs, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(EVENTS_HEADER)
-    for e in events:
-        writer.writerow([e.student_id, e.module_code, e.semester, e.week_index, e.status])
+    writer.writerows(
+        (student_id, module_code, semester, week, "present" if present else "absent")
+        for (module_code, semester, week, student_id), present in pairs
+    )
 
 
 def read_roster_csv(path) -> list[RosterEntry]:

@@ -319,6 +319,30 @@ class TestMalformedInputs:
         assert run(["score", "--in", str(inputs)]) == 1
         assert f"modules.csv:3: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "weeks, message",
+        [([], "WeekOutOfRange: {events}:4: M1 week 12 beyond weeks_total 11"),
+         (["--weeks", "0"], "ValueError: weeks_total must be >= 1, got 0")],
+        ids=["default-weeks", "weeks-0"],
+    )
+    def test_score_names_the_line_of_a_week_beyond_weeks(self, capsys, tmp_path, weeks, message):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "student_id,module_code,semester,week,status\n"
+            "s1,M1,1,1,present\ns1,M1,1,13,late\ns2,M1,1,12,absent\n"
+        )
+        assert run(["score", "--in", str(events), *weeks]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: " + message.format(events=events)
+
+    def test_ingest_keeps_a_week_beyond_the_score_default(self, capsys, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("student_id,module_code,semester,week,status\ns2,M1,1,12,absent\n")
+        out = tmp_path / "cleaned.csv"
+        assert run(["ingest", "--in", str(events), "--out", str(out)]) == 0
+        assert "read 1 rows: kept 1, rejected 0" in capsys.readouterr().out
+        assert out.read_text().splitlines()[1:] == ["s2,M1,1,12,absent"]
+
     def test_byte_order_mark_and_quoted_header_change_nothing(self, capsys, tmp_path):
         plain = tmp_path / "plain.csv"
         assert run(["gen", "--kind", "events", "--modules", "2", "--seed", "4", "--out", str(plain)]) == 0

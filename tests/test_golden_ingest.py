@@ -9,6 +9,7 @@ must reproduce the committed text byte for byte.
 
 import pytest
 
+from sacmine import ingest
 from sacmine.cli import run
 
 EVENTS = """\
@@ -129,3 +130,18 @@ def test_ingest_matches_golden(capsys, fixture_files):
     assert captured.out == ACCOUNTING
     assert captured.err == ""
     assert out.read_bytes() == CLEANED_CSV.encode()
+
+
+def test_cli_builds_no_event_objects(monkeypatch, capsys, fixture_files):
+    def refuse(*args):
+        raise AssertionError("an AttendanceEvent was built")
+
+    monkeypatch.setattr(ingest, "AttendanceEvent", refuse)
+    events, roster = str(fixture_files / "events.csv"), str(fixture_files / "roster.csv")
+    scored, cleaned = fixture_files / "scored.csv", fixture_files / "cleaned.csv"
+    assert run(["score", "--in", events, "--roster", roster, "--out", str(scored)]) == 0
+    assert capsys.readouterr() == (SCORE_STDOUT, ACCOUNTING)
+    assert run(["ingest", "--in", events, "--out", str(cleaned)]) == 0
+    assert capsys.readouterr() == (ACCOUNTING, "")
+    assert scored.read_bytes() == SCORED_CSV.encode()
+    assert cleaned.read_bytes() == CLEANED_CSV.encode()

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from sacmine.ingest import (
     aggregate,
     clean_events,
     parse_events,
+    read_event_map,
     score_rows,
     write_aggregate_csv,
 )
@@ -113,6 +115,21 @@ class TestClean:
         assert twice == once
         assert report.duplicates_dropped == 0
         assert report.conflicts_resolved == 0
+
+
+class TestEventMap:
+    def test_memory_grows_with_distinct_keys_not_rows(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text(HEADER + "s1,M1,1,1,present\n" * 50_000)
+        tracemalloc.start()
+        try:
+            winners, parsed, cleaning = read_event_map(events)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert winners == {("M1", 1, 1, "s1"): True}
+        assert (parsed.rows_kept, cleaning.duplicates_dropped) == (50_000, 49_999)
+        assert peak < 2**20
 
 
 class TestAggregate:
