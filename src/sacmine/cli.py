@@ -10,7 +10,9 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -34,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--roster", help="roster CSV (module_code,semester,registered)")
     p.add_argument("--out", help="scored aggregate artifact")
-    p.add_argument("--weeks", type=int, default=11, help="weeks per semester (default 11)")
+    p.add_argument("--weeks", type=int, help="weeks per semester of an events CSV (default 11)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("reliability", help="Cronbach's alpha over a SAC panel CSV")
@@ -124,10 +126,15 @@ def _score_rows_from_input(args) -> list[tuple]:
     with tables.read(Path(args.infile)) as table:
         is_events = table.header == ingest.EVENTS_HEADER
     if not is_events:
+        if args.weeks is not None:
+            raise ValueError(
+                f"{args.infile}: --weeks applies only to an events CSV; module inputs carry weeks_total"
+            )
         return ingest.read_module_inputs_csv(args.infile)
-    winners = _read_events(args.infile, args.weeks, sys.stderr)
+    weeks = 11 if args.weeks is None else args.weeks
+    winners = _read_events(args.infile, weeks, sys.stderr)
     roster = ingest.read_roster_csv(args.roster) if args.roster else None
-    records, rejections = ingest.aggregate_event_map(winners, roster, args.weeks)
+    records, rejections = ingest.aggregate_event_map(winners, roster, weeks)
     for diag in rejections:
         print(f"rejected record: {diag}", file=sys.stderr)
     return ingest.score_rows(records)
@@ -213,15 +220,16 @@ def _cmd_rules(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.model:
         tree, attributes, label = dtree.load_model(args.model)
-        test = dtree.read_dataset_csv(args.infile, expected=(attributes, label))
-        sizes = {"train": None, "test": len(test.instances)}
+        rows = dtree.read_labelled_csv(args.infile, attributes, label)
+        report = dtree.NodeTable(tree).evaluate(rows, [row[-1] for row in rows], label.domain)
+        sizes = {"train": None, "test": len(rows)}
     else:
         data = dtree.read_dataset_csv(args.infile)
         train, test = dtree.split_dataset(data, args.fraction, args.seed)
         tree = dtree.build_tree(train, criterion=_criterion(args.criterion), min_leaf=args.min_leaf)
+        report = dtree.evaluate(tree, test)
         sizes = {"train": len(train.instances), "test": len(test.instances)}
-    report = dtree.evaluate(tree, test)
-    print(f"accuracy {report.accuracy:.3f} rmse {report.rmse:.4f} (test n={len(test.instances)})")
+    print(f"accuracy {report.accuracy:.3f} rmse {report.rmse:.4f} (test n={sizes['test']})")
     if args.out:
         doc = {
             "accuracy": report.accuracy,
@@ -242,21 +250,21 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     tree, attributes, label = dtree.load_model(args.model)
+    table = dtree.NodeTable(tree)
     rows = dtree.read_instances_csv(args.infile, attributes)
-    results = [dtree.predict(tree, row) for row in rows]
-    for row, (klass, dist) in zip(rows[:10], results[:10]):
-        print(f"{row} -> {label.name} = {klass} (p={dist[klass]:.3f})")
+    leaf_ids = table.route(rows)
+    for row, j in zip(rows[:10], leaf_ids):
+        leaf = table.leaves[j]
+        print(f"{row} -> {label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
     if len(rows) > 10:
         print(f"... {len(rows) - 10} more")
     if args.out:
-        import csv as csv_mod
-
+        # The class and confidence cells of each leaf; csv writes a float as its repr.
+        tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv_mod.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([a.name for a in attributes] + ["predicted", "confidence"])
-            for row, (klass, dist) in zip(rows, results):
-                cells = [repr(v) if isinstance(v, float) else v for v in row]
-                writer.writerow(cells + [klass, repr(dist[klass])])
+            writer.writerows(map(operator.add, rows, map(tails.__getitem__, leaf_ids)))
     return 0
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import add
 from pathlib import Path
-
-import numpy as np
 
 from . import tables
 from .errors import (
@@ -81,6 +82,13 @@ def _is_number(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _outside_domain(spec: AttributeSpec, v, is_label: bool = False) -> SchemaMismatch:
+    """The error for the nominal value ``v`` of ``spec`` outside its domain."""
+    if is_label:
+        return SchemaMismatch(f"label {v!r} not in {spec.domain}")
+    return SchemaMismatch(f"{spec.name}: {v!r} not in domain {spec.domain}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Schema plus instances; every instance is validated on construction."""
@@ -110,9 +118,9 @@ class Dataset:
                 if not _is_number(v):
                     raise SchemaMismatch(f"{spec.name}: expected a number, got {v!r}")
             elif v not in spec.domain:
-                raise SchemaMismatch(f"{spec.name}: {v!r} not in domain {spec.domain}")
+                raise _outside_domain(spec, v)
         if inst.label not in self.label.domain:
-            raise SchemaMismatch(f"label {inst.label!r} not in {self.label.domain}")
+            raise _outside_domain(self.label, inst.label, is_label=True)
         return inst
 
     def attribute_index(self, name: str) -> int:
@@ -152,32 +160,128 @@ class Split:
 TreeNode = Leaf | Split
 
 
-def _children(node: Split):
-    if node.threshold is not None:
-        return [node.le, node.gt]
-    return list(node.branches.values())
+class NodeTable:
+    """A tree compiled to parallel lists, for routing many rows.
+
+    Split ``i`` reads the value at ``attribute[i]``. A numeric split goes to
+    ``le[i]`` when the value is ``<= threshold[i]`` and to ``gt[i]``
+    otherwise; a nominal split has ``threshold[i]`` None and goes to
+    ``branches[i][value]``. A child ``j >= 0`` is ``splits[j]``, and ``~j`` is
+    ``leaves[j]``; both are numbered in preorder.
+
+    Given a schema, compiling also checks that every node fits it, and
+    raises SchemaMismatch where one does not.
+    """
+
+    def __init__(self, tree: TreeNode, attributes=None, label: AttributeSpec | None = None):
+        self.splits: list[Split] = []
+        self.attribute: list[int] = []
+        self.threshold: list[float | None] = []
+        self.le: list[int | None] = []
+        self.gt: list[int | None] = []
+        self.branches: list[dict[str, int] | None] = []
+        self.leaves: list[Leaf] = []
+        self.root = self._add(tree, attributes, label)
+
+    def _add(self, node: TreeNode, attributes, label) -> int:
+        if isinstance(node, Leaf):
+            if label is not None and not (
+                node.label in node.distribution
+                and isinstance(node.n, int)
+                and all(c in label.domain and _is_number(p) for c, p in node.distribution.items())
+            ):
+                raise SchemaMismatch(f"leaf {node.label!r} does not fit label {label.name!r}")
+            self.leaves.append(node)
+            return ~(len(self.leaves) - 1)
+        if attributes is not None:
+            known = isinstance(node.index, int) and 0 <= node.index < len(attributes)
+            spec = attributes[node.index] if known else None
+            if spec is None or spec.name != node.attribute or not (
+                _is_number(node.threshold)
+                if spec.kind == NUMERIC
+                else isinstance(node.branches, dict) and set(node.branches) == set(spec.domain)
+            ):
+                raise SchemaMismatch(f"split on {node.attribute!r} does not fit the schema")
+        i = len(self.splits)
+        self.splits.append(node)
+        self.attribute.append(node.index)
+        self.threshold.append(node.threshold)
+        for column in (self.le, self.gt, self.branches):
+            column.append(None)
+        if node.threshold is not None:
+            self.le[i] = self._add(node.le, attributes, label)
+            self.gt[i] = self._add(node.gt, attributes, label)
+        else:
+            self.branches[i] = {v: self._add(c, attributes, label) for v, c in node.branches.items()}
+        return i
+
+    def route(self, rows) -> list[int]:
+        """The leaf number of each row of values. No value is checked, so every
+        row must fit the schema, as the checked readers' rows do."""
+        attribute, threshold, le, gt, branches = (
+            self.attribute, self.threshold, self.le, self.gt, self.branches
+        )
+        out = []
+        for values in rows:
+            i = self.root
+            while i >= 0:
+                t = threshold[i]
+                if t is None:
+                    i = branches[i][values[attribute[i]]]
+                elif values[attribute[i]] <= t:
+                    i = le[i]
+                else:
+                    i = gt[i]
+            out.append(~i)
+        return out
+
+    def evaluate(self, rows, labels, domain) -> EvalReport:
+        """:func:`evaluate` of ``rows`` whose true classes are ``labels``.
+
+        The K squared errors of each (leaf, true class) pair are computed once,
+        but summed in one running sum, row by row and class by class, so the
+        RMSE is bit for bit the one of a loop over rows."""
+        n = len(labels)
+        if not n:
+            raise EmptyDataset("evaluate needs a non-empty test set")
+        pairs = list(zip(self.route(rows), labels))
+        counts = Counter(pairs)
+        terms = {
+            (j, truth): [
+                (self.leaves[j].distribution.get(c, 0.0) - (1.0 if c == truth else 0.0)) ** 2
+                for c in domain
+            ]
+            for j, truth in counts
+        }
+        sq = reduce(add, chain.from_iterable(map(terms.__getitem__, pairs)), 0.0)
+        pos = {c: i for i, c in enumerate(domain)}
+        k = len(domain)
+        confusion = [[0] * k for _ in range(k)]
+        correct = 0
+        for (j, truth), count in counts.items():
+            label = self.leaves[j].label
+            confusion[pos[truth]][pos[label]] += count
+            correct += count if label == truth else 0
+        return EvalReport(
+            accuracy=correct / n,
+            rmse=math.sqrt(sq / (n * k)),
+            confusion=tuple(tuple(row) for row in confusion),
+            classes=tuple(domain),
+        )
 
 
 def count_nodes(tree: TreeNode) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return 1 + sum(count_nodes(c) for c in _children(tree))
+    table = NodeTable(tree)
+    return len(table.splits) + len(table.leaves)
 
 
 def count_leaves(tree: TreeNode) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return sum(count_leaves(c) for c in _children(tree))
+    return len(NodeTable(tree).leaves)
 
 
 def collect_splits(tree: TreeNode) -> list[Split]:
     """All internal nodes in preorder."""
-    if isinstance(tree, Leaf):
-        return []
-    out = [tree]
-    for child in _children(tree):
-        out.extend(collect_splits(child))
-    return out
+    return NodeTable(tree).splits
 
 
 # --- Entropy and split scoring ----------------------------------------------
@@ -557,31 +661,17 @@ def evaluate(tree: TreeNode, test: Dataset) -> EvalReport:
 
     RMSE compares each leaf's class distribution against the one-hot
     truth, averaged over all N*K prediction-class pairs, K being the full
-    label domain size.
+    label domain size. The rows go through the tree's :class:`NodeTable`;
+    a row it cannot route raises what :func:`predict` raises for it.
     """
-    if not test.instances:
-        raise EmptyDataset("evaluate needs a non-empty test set")
-    domain = test.label.domain
-    pos = {c: i for i, c in enumerate(domain)}
-    k = len(domain)
-    confusion = [[0] * k for _ in range(k)]
-    correct = 0
-    sq = 0.0
-    for inst in test.instances:
-        label, dist = predict(tree, inst)
-        confusion[pos[inst.label]][pos[label]] += 1
-        if label == inst.label:
-            correct += 1
-        for c in domain:
-            truth = 1.0 if c == inst.label else 0.0
-            sq += (dist.get(c, 0.0) - truth) ** 2
-    n = len(test.instances)
-    return EvalReport(
-        accuracy=correct / n,
-        rmse=math.sqrt(sq / (n * k)),
-        confusion=tuple(tuple(row) for row in confusion),
-        classes=domain,
-    )
+    rows = [inst.values for inst in test.instances]
+    labels = [inst.label for inst in test.instances]
+    try:
+        return NodeTable(tree).evaluate(rows, labels, test.label.domain)
+    except (LookupError, TypeError):
+        for row in rows:
+            predict(tree, row)
+        raise
 
 
 def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -616,6 +706,8 @@ def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Data
             break
         alloc[c] += 1
         extra -= 1
+
+    import numpy as np  # here, not at the top: only gen and the split need numpy
 
     rng = np.random.Generator(np.random.PCG64(seed))
     train_idx: set[int] = set()
@@ -720,28 +812,6 @@ def save_model(tree: TreeNode, attributes, label: AttributeSpec, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _check_tree(node: TreeNode, attributes, label: AttributeSpec) -> None:
-    """Raise SchemaMismatch unless every node under ``node`` fits the schema."""
-    if isinstance(node, Leaf):
-        if not (
-            node.label in node.distribution
-            and isinstance(node.n, int)
-            and all(c in label.domain and _is_number(p) for c, p in node.distribution.items())
-        ):
-            raise SchemaMismatch(f"leaf {node.label!r} does not fit label {label.name!r}")
-        return
-    known = isinstance(node.index, int) and 0 <= node.index < len(attributes)
-    spec = attributes[node.index] if known else None
-    if spec is None or spec.name != node.attribute or not (
-        _is_number(node.threshold)
-        if spec.kind == NUMERIC
-        else isinstance(node.branches, dict) and set(node.branches) == set(spec.domain)
-    ):
-        raise SchemaMismatch(f"split on {node.attribute!r} does not fit the schema")
-    for child in _children(node):
-        _check_tree(child, attributes, label)
-
-
 def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec]:
     """Read a model file written by ``save_model``.
 
@@ -757,7 +827,7 @@ def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec
     try:
         attributes, label = schema_from_json(doc["schema"])
         tree = tree_from_json(doc["tree"])
-        _check_tree(tree, attributes, label)
+        NodeTable(tree, attributes, label)  # compiling checks the tree against the schema
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
     except (KeyError, TypeError, AttributeError) as exc:
@@ -787,33 +857,66 @@ def write_dataset_csv(data: Dataset, csv_path, schema_path=None) -> None:
     )
 
 
-def read_dataset_csv(csv_path, schema_path=None, expected=None) -> Dataset:
-    """Load a labeled dataset; the sidecar schema defaults to <name>.schema.json.
-
-    ``expected`` is a model's (attributes, label): the sidecar must declare
-    the same columns, by name, with the same kinds and domains, and the
-    instances then follow the model's column order.
-    """
-    csv_path = Path(csv_path)
-    schema_path = default_schema_path(csv_path) if schema_path is None else Path(schema_path)
+def _read_schema(schema_path: Path) -> tuple[tuple[AttributeSpec, ...], AttributeSpec]:
+    """The attributes and label of the sidecar schema at ``schema_path``."""
     try:
-        attributes, label = schema_from_json(json.loads(schema_path.read_text(encoding="utf-8")))
+        return schema_from_json(json.loads(schema_path.read_text(encoding="utf-8")))
     except (SchemaMismatch, ValueError) as exc:
         raise SchemaMismatch(f"{schema_path}: {exc}") from None
-    if expected is not None:
-        if label != expected[1] or set(attributes) != set(expected[0]):
-            raise SchemaMismatch(f"{schema_path}: columns do not match the model schema")
-        attributes, label = expected
+
+
+def _dataset_rows(table, attributes, label):
+    """The cells of each row of a dataset ``table`` that has exactly the
+    columns ``attributes`` and then ``label``, numeric cells as finite floats."""
     names = [a.name for a in attributes] + [label.name]
-    with tables.read(csv_path) as table:
-        if len(table.header) != len(names):
-            raise MissingHeader(f"expected the columns {names}")
-        rows = table.rows(names, {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC})
+    if len(table.header) != len(names):
+        raise MissingHeader(f"expected the columns {names}")
+    return table.rows(names, {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC})
+
+
+def _in_domain(rows, attributes, label=None):
+    """``rows`` of cells in ``attributes`` order, then ``label`` if given,
+    yielded once every nominal cell is found in its domain; the first that is
+    not raises what :class:`Dataset` raises for it."""
+    checks = [(i, set(a.domain), a, False) for i, a in enumerate(attributes) if a.kind == NOMINAL]
+    if label is not None:
+        checks.append((len(attributes), set(label.domain), label, True))
+    for cells in rows:
+        for i, domain, spec, is_label in checks:
+            if cells[i] not in domain:
+                raise _outside_domain(spec, cells[i], is_label)
+        yield cells
+
+
+def read_dataset_csv(csv_path, schema_path=None) -> Dataset:
+    """Load a labeled dataset; the sidecar schema defaults to <name>.schema.json."""
+    schema_path = default_schema_path(csv_path) if schema_path is None else Path(schema_path)
+    attributes, label = _read_schema(schema_path)
+    with tables.read(Path(csv_path)) as table:
+        rows = _dataset_rows(table, attributes, label)
         return Dataset(attributes, label, (Instance(tuple(cells[:-1]), cells[-1]) for cells in rows))
 
 
+def read_labelled_csv(csv_path, attributes, label) -> list[list]:
+    """The rows of a dataset CSV, to be scored by a model of schema
+    ``attributes`` and ``label``, checked as :class:`Dataset` checks them.
+
+    The sidecar schema must declare the model's columns, by name, with the
+    same kinds and domains; each row's cells follow the model's column
+    order, the label last.
+    """
+    schema_path = default_schema_path(csv_path)
+    sidecar_attributes, sidecar_label = _read_schema(schema_path)
+    if sidecar_label != label or set(sidecar_attributes) != set(attributes):
+        raise SchemaMismatch(f"{schema_path}: columns do not match the model schema")
+    with tables.read(Path(csv_path)) as table:
+        return list(_in_domain(_dataset_rows(table, attributes, label), attributes, label))
+
+
 def read_instances_csv(csv_path, attributes) -> list[tuple]:
-    """Read unlabeled rows for prediction; any label column is ignored."""
+    """Read unlabeled rows for prediction, checked as :class:`Dataset` checks
+    them; any label column is ignored."""
     numeric = {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC}
     with tables.read(Path(csv_path)) as table:
-        return [tuple(cells) for cells in table.rows([a.name for a in attributes], numeric)]
+        rows = table.rows([a.name for a in attributes], numeric)
+        return list(map(tuple, _in_domain(rows, attributes)))

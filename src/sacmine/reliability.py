@@ -147,7 +147,10 @@ def read_panel_csv(path) -> SacPanel:
                 raise SchemaMismatch(f"duplicate module row {code}")
             _check_row(code, values, len(years))
             rows[code] = tuple(values)
-    return SacPanel(tuple(rows), years, tuple(rows.values()))
+    try:
+        return SacPanel(tuple(rows), years, tuple(rows.values()))
+    except ValueError as exc:  # too few modules: no line to name, so name the file
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def breakdown_to_json(breakdown: AlphaBreakdown) -> dict:

@@ -12,8 +12,6 @@ import csv
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dtree import AttributeSpec, Dataset, Instance
 from .errors import InvalidParams, InvalidThresholds
 from .ingest import EVENTS_HEADER
@@ -59,6 +57,8 @@ def generate_events(params: GenParams) -> bytes:
     The output always parses and cleans with zero rejections: keys are
     unique by construction and every field is well formed.
     """
+    import numpy as np  # here, not at the top: only gen and the split need numpy
+
     rng = np.random.Generator(np.random.PCG64(params.seed))
     lo, hi = params.registered_range
     plo, phi = params.attend_prob_range
@@ -135,6 +135,8 @@ def generate_rule_labeled_dataset(
             if value > t:
                 return str(10 - rank)
         return str(10 - len(thresholds))
+
+    import numpy as np  # here, not at the top: only gen and the split need numpy
 
     rng = np.random.Generator(np.random.PCG64(seed))
     instances = []

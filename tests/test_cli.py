@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sacmine
 from sacmine import fixtures
 from sacmine.cli import run
 
@@ -440,3 +445,54 @@ class TestDeterminism:
                 p.read_bytes() for p in (ds, base / "ds.schema.json", model, rules, report, scored)
             )
         assert art["a"] == art["b"]
+
+
+class TestApplyInputs:
+    @pytest.mark.parametrize("value", ["3", "abc"])
+    def test_predict_rejects_a_nominal_value_outside_the_model_domain(self, capsys, tmp_path, value):
+        ds = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+        TestMalformedInputs.replace_line(ds, 5, lambda line: ",".join(
+            value if i == 2 else cell for i, cell in enumerate(line.split(","))
+        ))
+        assert run(["predict", "--in", str(ds), "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert f"SchemaMismatch: {ds}:5: sem_no: {value!r} not in domain ('1', '2')" in err
+
+    @pytest.mark.parametrize("weeks", ["0", "5", "11"])
+    def test_score_rejects_weeks_on_module_inputs(self, capsys, weeks):
+        assert run(["score", "--in", MODULE_SAMPLE, "--weeks", weeks]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ValueError: {MODULE_SAMPLE}: --weeks applies only to an events CSV; "
+            "module inputs carry weeks_total\n"
+        )
+
+    def test_score_events_default_weeks_is_11(self, capsys, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("student_id,module_code,semester,week,status\ns1,M1,1,11,present\n")
+        outputs = []
+        for weeks in ([], ["--weeks", "11"]):
+            out = tmp_path / "scored.csv"
+            assert run(["score", "--in", str(events), "--out", str(out), *weeks]) == 0
+            outputs.append((capsys.readouterr(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b"M1,1,11,1,100.0,0.091,1" in outputs[0][1]
+
+    @pytest.mark.parametrize("rows", ["", "A,0.1,0.2\n"], ids=["no-module", "one-module"])
+    def test_reliability_names_the_file_of_a_panel_with_too_few_modules(self, capsys, tmp_path, rows):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("module_code,y1,y2\n" + rows)
+        assert run(["reliability", "--in", str(panel)]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {panel}: panel needs at least 2 modules\n"
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    """Only gen and the train/test split need numpy, so no other command pays its import."""
+    src = Path(sacmine.__file__).resolve().parents[1]
+    code = "import sys, sacmine.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

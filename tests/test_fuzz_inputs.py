@@ -6,6 +6,8 @@ byte- or structure-level mutations and runs the commands that read it.
 ``cli.run`` must return an exit code; an escaping exception fails.
 """
 
+import csv
+import io
 import json
 import shutil
 
@@ -138,3 +140,26 @@ def test_mutated_input_ends_in_an_exit_code(inputs, tmp_path, name, data):
     for argv in COMMANDS[name]:
         argv = [a.format(f=target, base=inputs, dir=work) for a in argv]
         assert run(argv) in (0, 1, 2), argv
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_out_of_domain_nominal_value_exits_1_naming_its_line(inputs, tmp_path, capsys, data):
+    """``predict`` and ``evaluate --model`` check every nominal cell against
+    the model's domain, not only the cells a split reads."""
+    rows = list(csv.reader(io.StringIO((inputs / "ds.csv").read_text())))
+    column = rows[0].index("sem_no")
+    bad = data.draw(st.lists(st.integers(1, len(rows) - 1), min_size=1, max_size=3, unique=True))
+    values = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6)
+    for i in bad:
+        rows[i][column] = data.draw(values.filter(lambda v: v.strip() not in ("1", "2")))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    target = tmp_path / "ds.csv"
+    target.write_text(buf.getvalue(), encoding="utf-8")
+    shutil.copy(inputs / "ds.schema.json", tmp_path / "ds.schema.json")
+    first = min(bad)
+    expected = f"{target}:{first + 1}: sem_no: {rows[first][column].strip()!r} not in domain"
+    for command in ("predict", "evaluate"):
+        assert run([command, "--in", str(target), "--model", str(inputs / "model.json")]) == 1
+        assert expected in capsys.readouterr().err
