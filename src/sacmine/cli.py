@@ -16,8 +16,12 @@ import operator
 import sys
 from pathlib import Path
 
-from . import __version__, dtree, fixtures, ingest, reliability, synthgen, tables
+from . import __version__
 from .errors import Error
+
+# Each subcommand imports the modules it uses, so startup loads none it does
+# not need. The --estimator names are reliability.ESTIMATORS, POPULATION first.
+_ESTIMATORS = ("population", "sample", "paper-mixed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="panel CSV (default: bundled panel)")
     p.add_argument(
         "--estimator",
-        choices=list(reliability.ESTIMATORS),
-        default=reliability.POPULATION,
+        choices=list(_ESTIMATORS),
+        default=_ESTIMATORS[0],
     )
     p.add_argument("--out", help="breakdown artifact")
     p.add_argument("--format", choices=["json", "text"], default="json")
@@ -79,10 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["events", "dataset"], required=True)
     p.add_argument("--out", help="output path (events CSV or dataset CSV)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weeks", type=int, default=11)
-    p.add_argument("--modules", type=int, default=12, help="module count for --kind events")
-    p.add_argument("--n", type=int, default=59, help="instance count for --kind dataset")
-    p.add_argument("--thresholds", help="JSON list of rule thresholds (default: bundled)")
+    p.add_argument("--weeks", type=int, help="weeks per semester for --kind events (default 11)")
+    p.add_argument("--modules", type=int, help="module count for --kind events (default 12)")
+    p.add_argument("--n", type=int, help="instance count for --kind dataset (default 59)")
+    p.add_argument(
+        "--thresholds", help="JSON list of rule thresholds for --kind dataset (default: bundled)"
+    )
 
     return parser
 
@@ -93,11 +99,15 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _criterion(name: str) -> str:
+    from . import dtree
+
     return dtree.GAIN if name == "gain" else dtree.GAIN_RATIO
 
 
-def _read_events(path: str, weeks_total: int | None, file) -> ingest.EventMap:
+def _read_events(path: str, weeks_total: int | None, file):
     """Stream an events CSV into its event map, printing its row accounting to ``file``."""
+    from . import ingest
+
     winners, parsed, cleaning = ingest.read_event_map(Path(path), weeks_total)
     print(
         f"read {parsed.rows_read} rows: kept {parsed.rows_kept}, rejected {parsed.rows_rejected}",
@@ -114,6 +124,8 @@ def _read_events(path: str, weeks_total: int | None, file) -> ingest.EventMap:
 
 
 def _cmd_ingest(args) -> int:
+    from . import ingest
+
     winners = _read_events(args.infile, None, sys.stdout)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -123,6 +135,8 @@ def _cmd_ingest(args) -> int:
 
 def _score_rows_from_input(args) -> list[tuple]:
     """Score an events CSV (row accounting goes to stderr) or module inputs."""
+    from . import ingest, tables
+
     with tables.read(Path(args.infile)) as table:
         is_events = table.header == ingest.EVENTS_HEADER
     if not is_events:
@@ -141,6 +155,8 @@ def _score_rows_from_input(args) -> list[tuple]:
 
 
 def _cmd_score(args) -> int:
+    from . import ingest
+
     rows = _score_rows_from_input(args)
     for module_code, semester, _, taken, _, value, strength in rows:
         if value is None:
@@ -158,6 +174,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_reliability(args) -> int:
+    from . import fixtures, reliability
+
     source = args.infile if args.infile else fixtures.path(fixtures.PANEL)
     panel = reliability.read_panel_csv(source)
     breakdown = reliability.cronbach_alpha(panel, args.estimator)
@@ -183,6 +201,8 @@ def _cmd_reliability(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from . import dtree
+
     data = dtree.read_dataset_csv(args.infile)
     tree = dtree.build_tree(data, criterion=_criterion(args.criterion), min_leaf=args.min_leaf)
     print(f"trained tree: {dtree.count_nodes(tree)} nodes, {dtree.count_leaves(tree)} leaves")
@@ -192,6 +212,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rules(args) -> int:
+    from . import dtree
+
     tree, _, label = dtree.load_model(args.infile)
     ruleset = dtree.extract_rules(tree)
     lines = ruleset.to_text(label.name)
@@ -218,6 +240,8 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import dtree
+
     if args.model:
         tree, attributes, label = dtree.load_model(args.model)
         rows = dtree.read_labelled_csv(args.infile, attributes, label)
@@ -249,6 +273,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from . import dtree
+
     tree, attributes, label = dtree.load_model(args.model)
     table = dtree.NodeTable(tree)
     rows = dtree.read_instances_csv(args.infile, attributes)
@@ -268,26 +294,38 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+#: The gen options of each --kind; an option of the other kind is an error.
+_GEN_OPTIONS = {"events": ("weeks", "modules"), "dataset": ("n", "thresholds")}
+
+
 def _cmd_gen(args) -> int:
+    from . import dtree, fixtures, synthgen
+
+    other = "dataset" if args.kind == "events" else "events"
+    for name in _GEN_OPTIONS[other]:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} applies only to gen --kind {other}")
     if args.kind == "events":
-        params = synthgen.GenParams(
-            module_count=args.modules, weeks_total=args.weeks, seed=args.seed
+        modules = 12 if args.modules is None else args.modules
+        weeks = 11 if args.weeks is None else args.weeks
+        payload = synthgen.generate_events(
+            synthgen.GenParams(module_count=modules, weeks_total=weeks, seed=args.seed)
         )
-        payload = synthgen.generate_events(params)
         if args.out:
             Path(args.out).write_bytes(payload)
-            print(f"wrote {args.out} ({len(payload)} bytes, {args.modules} modules)")
+            print(f"wrote {args.out} ({len(payload)} bytes, {modules} modules)")
         else:
             sys.stdout.write(payload.decode("utf-8"))
         return 0
     source = Path(args.thresholds) if args.thresholds else fixtures.path(fixtures.RULE_THRESHOLDS)
     thresholds = json.loads(source.read_text(encoding="utf-8"))
-    data = synthgen.generate_rule_labeled_dataset(thresholds, args.n, args.seed)
+    n = 59 if args.n is None else args.n
+    data = synthgen.generate_rule_labeled_dataset(thresholds, n, args.seed)
     if not args.out:
         raise ValueError("gen --kind dataset requires --out")
     dtree.write_dataset_csv(data, args.out)
     classes = sorted({inst.label for inst in data.instances}, key=int)
-    print(f"wrote {args.out} ({args.n} instances, classes {','.join(classes)})")
+    print(f"wrote {args.out} ({n} instances, classes {','.join(classes)})")
     return 0
 
 

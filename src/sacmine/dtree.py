@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter, defaultdict
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -301,75 +302,85 @@ def entropy(class_counts) -> float:
 
 def _entropy(counts, total) -> float:
     # fsum is correctly rounded, so the result is permutation-invariant
-    h = math.fsum((c / total) * math.log2(c / total) for c in counts if c)
+    h = math.fsum([(c / total) * math.log2(c / total) for c in counts if c])
     return -h if h else 0.0
 
 
-def _class_counts(instances, domain) -> list[int]:
-    counts = dict.fromkeys(domain, 0)
-    for inst in instances:
-        counts[inst.label] += 1
-    return [counts[c] for c in domain]
-
-
-def _partition_numeric(instances, index, threshold):
-    le, gt = [], []
-    for inst in instances:
-        (le if inst.values[index] <= threshold else gt).append(inst)
-    return le, gt
-
-
-def _partition_nominal(instances, index, domain):
-    parts = {v: [] for v in domain}
-    for inst in instances:
-        parts[inst.values[index]].append(inst)
-    return parts
-
-
-def _split_score(parent_counts, part_counts, n, criterion) -> float:
+def _split_score(parent_h, part_counts, n, criterion) -> float:
+    """Score of splitting ``n`` rows of entropy ``parent_h`` into parts with
+    the class counts ``part_counts``."""
+    sizes = list(map(sum, part_counts))
     child_h = 0.0
-    for counts in part_counts:
-        if any(counts):
-            child_h += (sum(counts) / n) * _entropy(counts, sum(counts))
-    gain = _entropy(parent_counts, n) - child_h
+    for counts, m in zip(part_counts, sizes):
+        if m:
+            child_h += (m / n) * _entropy(counts, m)
+    gain = parent_h - child_h
     if criterion == GAIN:
         return gain
-    split_info = _entropy([sum(counts) for counts in part_counts], n)
+    split_info = _entropy(sizes, n)
     return gain / split_info if split_info > 0.0 else 0.0
 
 
-def _best_split(instances, pos, spec, domain, criterion, min_leaf, threshold=None):
-    """Best ``(score, threshold)`` of splitting ``instances`` on attribute ``pos``.
+class _Node:
+    """A tree node's ``rows`` ascending, ``order[pos]`` the rows sorted by numeric
+    attribute ``pos``, and their class ``counts`` and entropy ``h``."""
 
-    Sweeps sorted values with cumulative class counts over ``threshold`` or the
-    ``numeric_candidates`` midpoints, skipping splits that leave a branch under
-    ``min_leaf``. A sweep keeps the first score above 0.0, a lone split its own."""
-    column = {c: i for i, c in enumerate(domain)}
-    by_value = defaultdict(lambda: [0] * len(domain))
-    for inst in instances:
-        by_value[inst.values[pos]][column[inst.label]] += 1
-    parent = [sum(c) for c in zip(*by_value.values())]
-    n = len(instances)
-    if spec.kind == NOMINAL:
-        parts = [by_value[v] for v in spec.domain]
-        usable = min(map(sum, parts)) >= min_leaf
-        return (_split_score(parent, parts, n, criterion) if usable else 0.0), None
-    values = sorted(by_value)
-    best = (0.0 if threshold is None else -math.inf, None)
-    thresholds = [threshold] if threshold is not None else _midpoints(
-        values, lambda v: [c > 0 for c in by_value[v]]
-    )
-    left, j = [0] * len(domain), 0
-    for t in thresholds:  # midpoints never decrease, so values move left in one pass
-        while j < len(values) and values[j] <= t:
-            left = [a + b for a, b in zip(left, by_value[values[j]])]
-            j += 1
-        if min(sum(left), n - sum(left)) >= min_leaf:
-            right = [p - a for p, a in zip(parent, left)]
-            score = _split_score(parent, [left, right], n, criterion)
-            if score > best[0]:
-                best = (score, t)
-    return best
+    def __init__(self, columns: "_Columns", rows: list[int], order: dict[int, list[int]]):
+        self.columns, self.rows, self.order = columns, rows, order
+        tally = Counter(map(columns.y.__getitem__, rows))
+        self.counts = [tally[c] for c in range(columns.k)]
+        self.h = _entropy(self.counts, len(rows))
+
+    def child(self, members) -> "_Node":
+        """The node of the rows ``members``; filtering keeps every order sorted."""
+        keep = set(members).__contains__
+        order = {pos: list(filter(keep, ids)) for pos, ids in self.order.items()}
+        return _Node(self.columns, list(filter(keep, self.rows)), order)
+
+
+class _Columns:
+    """A dataset as columns: the class index ``y`` of each row and each
+    attribute's ``values``. The rows of each numeric attribute are sorted by
+    value once, stably, so equal values keep row order in every node."""
+
+    def __init__(self, data: Dataset):
+        klass = {c: i for i, c in enumerate(data.label.domain)}
+        self.k = len(klass)
+        self.y = [klass[inst.label] for inst in data.instances]
+        self.values = list(zip(*(inst.values for inst in data.instances)))
+        rows = list(range(len(self.y)))
+        numeric = [pos for pos, spec in enumerate(data.attributes) if spec.kind == NUMERIC]
+        order = {pos: sorted(rows, key=self.values[pos].__getitem__) for pos in numeric}
+        self.root = _Node(self, rows, order)
+
+    def best_split(self, node: _Node, pos: int, spec, criterion, min_leaf, threshold=None):
+        """Best ``(score, threshold)`` of splitting ``node`` on attribute ``pos``.
+
+        Sweeps the node's sorted values with cumulative class counts over
+        ``threshold`` or the ``numeric_candidates`` midpoints, skipping splits
+        that leave a branch under ``min_leaf``. A sweep keeps the first score
+        above 0.0, a lone split its own."""
+        column, y, n = self.values[pos], self.y, len(node.rows)
+        if spec.kind == NOMINAL:
+            tally = Counter(zip(map(column.__getitem__, node.rows), map(y.__getitem__, node.rows)))
+            parts = [[tally[v, c] for c in range(self.k)] for v in spec.domain]
+            usable = min(map(sum, parts)) >= min_leaf
+            return (_split_score(node.h, parts, n, criterion) if usable else 0.0), None
+        ids = node.order[pos]
+        values, classes = list(map(column.__getitem__, ids)), list(map(y.__getitem__, ids))
+        best = (0.0 if threshold is None else -math.inf, None)
+        thresholds = [threshold] if threshold is not None else _midpoints(values, classes)
+        left, j = [0] * self.k, 0
+        for t in thresholds:  # midpoints never decrease, so rows move left in one pass
+            i, j = j, bisect_right(values, t, j)
+            for c in classes[i:j]:
+                left[c] += 1
+            if min_leaf <= j <= n - min_leaf:
+                right = [p - a for p, a in zip(node.counts, left)]
+                score = _split_score(node.h, [left, right], n, criterion)
+                if score > best[0]:
+                    best = (score, t)
+        return best
 
 
 def _score_at(data: Dataset, attribute: str, threshold, criterion: str) -> float:
@@ -379,7 +390,8 @@ def _score_at(data: Dataset, attribute: str, threshold, criterion: str) -> float
     spec = data.attributes[index]
     if (spec.kind == NUMERIC) != (threshold is not None):
         raise BadThreshold(f"{attribute}: bad threshold {threshold!r} for a {spec.kind} attribute")
-    return _best_split(data.instances, index, spec, data.label.domain, criterion, 0, threshold)[0]
+    columns = _Columns(data)
+    return columns.best_split(columns.root, index, spec, criterion, 0, threshold)[0]
 
 
 def info_gain(data: Dataset, attribute: str, threshold: float | None = None) -> float:
@@ -400,18 +412,25 @@ def gain_ratio(data: Dataset, attribute: str, threshold: float | None = None) ->
 
 
 def _midpoints(values, classes) -> list[float]:
-    """The candidate rule: midpoints between consecutive sorted distinct ``values``
-    whose class sets, as ``classes(value)`` gives them, differ."""
-    return [(v1 + v2) / 2.0 for v1, v2 in zip(values, values[1:]) if classes(v1) != classes(v2)]
+    """The candidate rule, over ``values`` sorted ascending with their
+    ``classes`` alongside: midpoints between consecutive distinct values whose
+    class sets differ. Each distinct value is taken as it first appears."""
+    distinct, sets, last = [], [], None
+    for v, c in zip(values, classes):
+        if v == last:
+            run.add(c)
+        else:
+            last, run = v, {c}
+            distinct.append(v)
+            sets.append(run)
+    return [(v1 + v2) / 2.0 for v1, v2, s1, s2 in zip(distinct, distinct[1:], sets, sets[1:]) if s1 != s2]
 
 
 def numeric_candidates(instances, index) -> list[float]:
     """Candidate thresholds: midpoints between consecutive distinct values
     whose class sets differ."""
-    by_value: dict[float, set[str]] = {}
-    for inst in instances:
-        by_value.setdefault(inst.values[index], set()).add(inst.label)
-    return _midpoints(sorted(by_value), by_value.__getitem__)
+    ordered = sorted(instances, key=lambda inst: inst.values[index])
+    return _midpoints([inst.values[index] for inst in ordered], [inst.label for inst in ordered])
 
 
 def _check_criterion(criterion: str) -> None:
@@ -429,9 +448,9 @@ def rank_attributes(data: Dataset, criterion: str = GAIN_RATIO) -> list[tuple[st
     _check_criterion(criterion)
     if not data.instances:
         raise EmptyDataset("rank_attributes needs a non-empty dataset")
-    domain = data.label.domain
+    columns = _Columns(data)
     ranked = [
-        (spec.name, _best_split(data.instances, pos, spec, domain, criterion, 0)[0])
+        (spec.name, columns.best_split(columns.root, pos, spec, criterion, 0)[0])
         for pos, spec in enumerate(data.attributes)
     ]
     return sorted(ranked, key=lambda t: -t[1])  # stable, so ties keep schema order
@@ -441,11 +460,7 @@ def rank_attributes(data: Dataset, criterion: str = GAIN_RATIO) -> list[tuple[st
 
 
 def _majority(counts, domain) -> str:
-    best_i = 0
-    for i in range(1, len(counts)):
-        if counts[i] > counts[best_i]:
-            best_i = i
-    return domain[best_i]
+    return domain[max(range(len(counts)), key=counts.__getitem__)]  # max keeps the first of ties
 
 
 def build_tree(
@@ -472,48 +487,33 @@ def build_tree(
     if min_leaf < 1:
         raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
     domain = data.label.domain
+    columns = _Columns(data)
 
-    def leaf_for(instances, counts) -> Leaf:
-        n = len(instances)
-        dist = {c: counts[i] / n for i, c in enumerate(domain)}
-        return Leaf(_majority(counts, domain), dist, n)
-
-    def grow(instances, depth) -> TreeNode:
-        counts = _class_counts(instances, domain)
-        n = len(instances)
-        if (
+    def grow(node: _Node, depth) -> TreeNode:
+        counts, n = node.counts, len(node.rows)
+        best_score, best = 0.0, None
+        if not (
             n < 2 * min_leaf
             or sum(1 for c in counts if c) == 1
             or (max_depth is not None and depth >= max_depth)
         ):
-            return leaf_for(instances, counts)
-
-        best_score, best = 0.0, None
-        for pos, spec in enumerate(data.attributes):
-            score, t = _best_split(instances, pos, spec, domain, criterion, min_leaf)
-            if score > best_score:
-                best_score, best = score, (pos, spec, t)
-
+            for pos, spec in enumerate(data.attributes):
+                score, t = columns.best_split(node, pos, spec, criterion, min_leaf)
+                if score > best_score:
+                    best_score, best = score, (pos, spec, t)
         if best is None:
-            return leaf_for(instances, counts)
+            return Leaf(_majority(counts, domain), {c: counts[i] / n for i, c in enumerate(domain)}, n)
         pos, spec, t = best
+        column = columns.values[pos]
         if spec.kind == NUMERIC:
-            le, gt = _partition_numeric(instances, pos, t)
-            return Split(
-                attribute=spec.name,
-                index=pos,
-                threshold=t,
-                le=grow(le, depth + 1),
-                gt=grow(gt, depth + 1),
-            )
-        parts = _partition_nominal(instances, pos, spec.domain)
-        return Split(
-            attribute=spec.name,
-            index=pos,
-            branches={v: grow(parts[v], depth + 1) for v in spec.domain},
-        )
+            ids = node.order[pos]
+            j = bisect_right(list(map(column.__getitem__, ids)), t)  # rows <= t go left
+            le, gt = (grow(node.child(part), depth + 1) for part in (ids[:j], ids[j:]))
+            return Split(spec.name, pos, threshold=t, le=le, gt=gt)
+        members = {v: [i for i in node.rows if column[i] == v] for v in spec.domain}
+        return Split(spec.name, pos, branches={v: grow(node.child(m), depth + 1) for v, m in members.items()})
 
-    return grow(list(data.instances), 0)
+    return grow(columns.root, 0)
 
 
 def predict(tree: TreeNode, instance) -> tuple[str, dict[str, float]]:
@@ -830,7 +830,7 @@ def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec
         NodeTable(tree, attributes, label)  # compiling checks the tree against the schema
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SchemaMismatch(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
     return tree, attributes, label
 

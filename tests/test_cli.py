@@ -496,3 +496,89 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+LIBRARY_MODULES = ("credibility", "dtree", "ingest", "reliability", "synthgen")
+
+
+def test_importing_the_cli_loads_no_library_module_and_every_export_resolves():
+    """Each subcommand imports what it uses; the package's names load on first use."""
+    src = Path(sacmine.__file__).resolve().parents[1]
+    code = (
+        "import sys, importlib, sacmine.cli\n"
+        f"print([m for m in {LIBRARY_MODULES!r} if 'sacmine.' + m in sys.modules])\n"
+        "import sacmine\n"
+        "print(all(getattr(sacmine, name) is getattr(importlib.import_module('sacmine.' + module), name)\n"
+        "          for module, names in sacmine._EXPORTS.items() for name in names))\n"
+        "print(sorted(sacmine.__all__) == sorted(['__version__', *sacmine._SOURCE]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\nTrue\nTrue\n"
+    for name in sacmine.__all__:
+        assert getattr(sacmine, name) is not None
+    with pytest.raises(AttributeError):
+        sacmine.no_such_name
+
+
+def test_estimator_choices_are_the_reliability_estimators():
+    from sacmine import reliability
+    from sacmine.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if a.dest == "command").choices["reliability"]
+    estimator = next(a for a in sub._actions if a.dest == "estimator")
+    assert tuple(estimator.choices) == reliability.ESTIMATORS
+    assert estimator.default == reliability.POPULATION
+
+
+def test_a_model_leaf_with_a_malformed_distribution_names_the_model(capsys, tmp_path):
+    ds = make_dataset(tmp_path)
+    model = tmp_path / "model.json"
+    assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    node = doc["tree"]
+    while node["type"] == "split":
+        node = node["le"] if "le" in node else next(iter(node["branches"].values()))
+    node["distribution"] = ["abc"]
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["rules", "--in", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SchemaMismatch: {model}: malformed model: ValueError: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--kind", "dataset", "--n", "12", "--weeks", "0", "--modules", "0"],
+         "--weeks applies only to gen --kind events"),
+        (["--kind", "dataset", "--modules", "3"], "--modules applies only to gen --kind events"),
+        (["--kind", "events", "--modules", "1", "--n", "0", "--thresholds", "nonexist.json"],
+         "--n applies only to gen --kind dataset"),
+        (["--kind", "events", "--thresholds", "nonexist.json"],
+         "--thresholds applies only to gen --kind dataset"),
+    ],
+    ids=["dataset-weeks", "dataset-modules", "events-n", "events-thresholds"],
+)
+def test_gen_rejects_an_option_of_the_other_kind(capsys, tmp_path, argv, reason):
+    out = tmp_path / "g.csv"
+    assert run(["gen", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: ValueError: {reason}\n")
+    assert not out.exists()
+
+
+def test_gen_defaults_are_unchanged_when_options_are_unset(capsys, tmp_path):
+    outputs = []
+    for extra in ([], ["--modules", "12", "--weeks", "11"]):
+        out = tmp_path / "e.csv"
+        assert run(["gen", "--kind", "events", "--seed", "4", "--out", str(out), *extra]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1] and "12 modules" in outputs[0][0]
+    outputs = []
+    for extra in ([], ["--n", "59"]):
+        out = tmp_path / "d.csv"
+        assert run(["gen", "--kind", "dataset", "--seed", "4", "--out", str(out), *extra]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1] and "59 instances" in outputs[0][0]

@@ -1,0 +1,117 @@
+"""A/B timing of two sacmine source trees on one perfbench workload.
+
+    python3 tools/ab.py BASE CHANGE --workload tree_induction --seed 11 --pairs 10
+
+BASE and CHANGE are checkouts, each with ``src/sacmine``. The workload's
+inputs are generated once, by running this repository's
+``perfbench/inputs.py``; a workload with set-up steps (``model_apply``
+trains its model) runs them once, with BASE. Then each pair runs the
+workload's CLI steps from both trees, one after the other, alternating which
+goes first. Each side works in its own copy of the inputs.
+
+Printed per step and for the whole job: each side's median wall and CPU
+time, the median [Q1, Q3] of the CHANGE/BASE ratio over the pairs, and in
+how many pairs CHANGE was faster. The last line says whether both trees
+wrote byte-identical outputs (each step's ``--out`` file and stdout).
+perfbench is only read: its workload table and child runner are imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import shutil
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # import perfbench without writing into it
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import WORKLOADS, Runner, step_outputs  # noqa: E402
+
+
+def _ok(runner: Runner, child) -> tuple[float, float]:
+    """The wall and CPU time of a child that exited 0; otherwise stop with its stderr."""
+    if child.code != 0:
+        tail = runner.stderr_tail(child.command)
+        raise SystemExit(f"{runner.work}: {child.command} exited {child.code}: {tail}")
+    return child.wall_s, child.cpu_s
+
+
+def _spread(values: list[float]) -> str:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return f"{statistics.median(values):.3f} [{q1:.3f}, {q3:.3f}]"
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="source tree A")
+    parser.add_argument("change", type=Path, help="source tree B")
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--work", type=Path, help="scratch directory (default: a new temporary one)")
+    args = parser.parse_args(argv)
+    wl = WORKLOADS[args.workload]
+    trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        if not (tree / "src" / "sacmine" / "__init__.py").is_file():
+            parser.error(f"no sacmine source at {tree / 'src' / 'sacmine'}")
+    work = args.work or Path(tempfile.mkdtemp(prefix="sacmine-ab-"))
+    try:
+        return compare(wl, args.seed, args.pairs, trees, work)
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+
+
+def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path) -> int:
+    inputs = Runner(ROOT, work / "inputs")
+    inputs.work.mkdir(parents=True, exist_ok=True)
+    _ok(inputs, inputs.generate(wl.name, seed))
+    setup = Runner(trees["base"], inputs.work)
+    for command, step_args in wl.setup_steps:
+        _ok(setup, setup.sacmine(f"setup-{command}", [command, *step_args]))
+    runners = {}
+    for side, tree in trees.items():
+        (work / side).mkdir(exist_ok=True)
+        for name in wl.inputs:
+            shutil.copy(inputs.work / name, work / side / name)
+        runners[side] = Runner(tree, work / side)
+
+    steps = [command for command, _ in wl.steps]
+    times = {side: {key: [] for key in ["job", *steps]} for side in trees}
+    for pair in range(pairs):
+        for side in (("base", "change") if pair % 2 == 0 else ("change", "base")):
+            job = [0.0, 0.0]
+            for command, step_args in wl.steps:
+                runner = runners[side]
+                wall, cpu = _ok(runner, runner.sacmine(command, [command, *step_args]))
+                times[side][command].append((wall, cpu))
+                job = [job[0] + wall, job[1] + cpu]
+            times[side]["job"].append(tuple(job))
+
+    print(f"# {wl.name} seed {seed}, {pairs} pairs; base {trees['base']}, change {trees['change']}")
+    print("# row: base median, change median, change/base ratio median [Q1, Q3], pairs change faster")
+    for key in ["job", *steps]:
+        for i, clock in enumerate(("wall", "cpu")):
+            base = [t[i] for t in times["base"][key]]
+            change = [t[i] for t in times["change"][key]]
+            ratios = [c / b for b, c in zip(base, change)]
+            wins = sum(c < b for b, c in zip(base, change))
+            print(f"{key} {clock}_s: {statistics.median(base):.3f} -> {statistics.median(change):.3f}; "
+                  f"ratio {_spread(ratios)}; faster in {wins}/{len(ratios)}")
+    outputs = [name for command in steps for name in step_outputs(wl, command)]
+    differ = [name for name in outputs if _digest(work / "base" / name) != _digest(work / "change" / name)]
+    print("outputs: identical" if not differ else f"outputs: differ in {', '.join(differ)}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
