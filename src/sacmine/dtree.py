@@ -31,6 +31,7 @@ from .errors import (
     InvalidFraction,
     MissingHeader,
     SchemaMismatch,
+    TreeTooDeep,
     UnknownAttribute,
 )
 
@@ -161,80 +162,80 @@ class Split:
 TreeNode = Leaf | Split
 
 
+def _preorder(tree: TreeNode):
+    """Each node of ``tree`` in preorder, with the conditions of its path from
+    the root. A numeric split's edges are ``<=`` then ``>`` its threshold, a
+    nominal split's ``=`` each branch value in order. A node's children are
+    read only once the node has been yielded, so a caller can check it first."""
+    stack = [(tree, ())]
+    while stack:
+        node, conds = stack.pop()
+        yield node, conds
+        if isinstance(node, Split):
+            if node.threshold is not None:
+                edges = [("<=", node.threshold, node.le), (">", node.threshold, node.gt)]
+            else:
+                edges = [("=", value, child) for value, child in node.branches.items()]
+            stack.extend(
+                (child, conds + (Condition(node.attribute, node.index, op, value),))
+                for op, value, child in reversed(edges)
+            )
+
+
 class NodeTable:
-    """A tree compiled to parallel lists, for routing many rows.
+    """A tree's ``splits`` and ``leaves`` in preorder, for routing many rows.
 
-    Split ``i`` reads the value at ``attribute[i]``. A numeric split goes to
-    ``le[i]`` when the value is ``<= threshold[i]`` and to ``gt[i]``
-    otherwise; a nominal split has ``threshold[i]`` None and goes to
-    ``branches[i][value]``. A child ``j >= 0`` is ``splits[j]``, and ``~j`` is
-    ``leaves[j]``; both are numbered in preorder.
-
-    Given a schema, compiling also checks that every node fits it, and
-    raises SchemaMismatch where one does not.
-    """
+    Given a schema, it also checks that every node fits it, and raises
+    SchemaMismatch where one does not: a split must name the attribute at
+    its index and have a numeric threshold or a branch per domain value, a
+    leaf must cover ``n >= 1`` rows and give each class of the label a
+    probability in [0, 1]."""
 
     def __init__(self, tree: TreeNode, attributes=None, label: AttributeSpec | None = None):
+        self.root = tree
         self.splits: list[Split] = []
-        self.attribute: list[int] = []
-        self.threshold: list[float | None] = []
-        self.le: list[int | None] = []
-        self.gt: list[int | None] = []
-        self.branches: list[dict[str, int] | None] = []
         self.leaves: list[Leaf] = []
-        self.root = self._add(tree, attributes, label)
-
-    def _add(self, node: TreeNode, attributes, label) -> int:
-        if isinstance(node, Leaf):
-            if label is not None and not (
-                node.label in node.distribution
-                and isinstance(node.n, int)
-                and all(c in label.domain and _is_number(p) for c, p in node.distribution.items())
-            ):
-                raise SchemaMismatch(f"leaf {node.label!r} does not fit label {label.name!r}")
-            self.leaves.append(node)
-            return ~(len(self.leaves) - 1)
-        if attributes is not None:
-            known = isinstance(node.index, int) and 0 <= node.index < len(attributes)
-            spec = attributes[node.index] if known else None
-            if spec is None or spec.name != node.attribute or not (
-                _is_number(node.threshold)
-                if spec.kind == NUMERIC
-                else isinstance(node.branches, dict) and set(node.branches) == set(spec.domain)
-            ):
-                raise SchemaMismatch(f"split on {node.attribute!r} does not fit the schema")
-        i = len(self.splits)
-        self.splits.append(node)
-        self.attribute.append(node.index)
-        self.threshold.append(node.threshold)
-        for column in (self.le, self.gt, self.branches):
-            column.append(None)
-        if node.threshold is not None:
-            self.le[i] = self._add(node.le, attributes, label)
-            self.gt[i] = self._add(node.gt, attributes, label)
-        else:
-            self.branches[i] = {v: self._add(c, attributes, label) for v, c in node.branches.items()}
-        return i
+        for node, _ in _preorder(tree):
+            if isinstance(node, Leaf):
+                if label is not None and not (
+                    node.label in node.distribution
+                    and type(node.n) is int and node.n >= 1
+                    and all(c in label.domain and _is_number(p) and 0 <= p <= 1
+                            for c, p in node.distribution.items())
+                ):
+                    raise SchemaMismatch(f"leaf {node.label!r} does not fit label {label.name!r}")
+                self.leaves.append(node)
+                continue
+            if attributes is not None:
+                known = isinstance(node.index, int) and 0 <= node.index < len(attributes)
+                spec = attributes[node.index] if known else None
+                if spec is None or spec.name != node.attribute or not (
+                    _is_number(node.threshold)
+                    if spec.kind == NUMERIC
+                    else isinstance(node.branches, dict) and set(node.branches) == set(spec.domain)
+                ):
+                    raise SchemaMismatch(f"split on {node.attribute!r} does not fit the schema")
+            self.splits.append(node)
+        # A leaf placed twice in the tree takes the number of its last place.
+        self._number = {id(leaf): j for j, leaf in enumerate(self.leaves)}
 
     def route(self, rows) -> list[int]:
         """The leaf number of each row of values. No value is checked, so every
         row must fit the schema, as the checked readers' rows do."""
-        attribute, threshold, le, gt, branches = (
-            self.attribute, self.threshold, self.le, self.gt, self.branches
-        )
-        out = []
+        split, root = Split, self.root
+        reached = []
         for values in rows:
-            i = self.root
-            while i >= 0:
-                t = threshold[i]
+            node = root
+            while type(node) is split:
+                t = node.threshold
                 if t is None:
-                    i = branches[i][values[attribute[i]]]
-                elif values[attribute[i]] <= t:
-                    i = le[i]
+                    node = node.branches[values[node.index]]
+                elif values[node.index] <= t:
+                    node = node.le
                 else:
-                    i = gt[i]
-            out.append(~i)
-        return out
+                    node = node.gt
+            reached.append(node)
+        return list(map(self._number.__getitem__, map(id, reached)))
 
     def evaluate(self, rows, labels, domain) -> EvalReport:
         """:func:`evaluate` of ``rows`` whose true classes are ``labels``.
@@ -272,17 +273,16 @@ class NodeTable:
 
 
 def count_nodes(tree: TreeNode) -> int:
-    table = NodeTable(tree)
-    return len(table.splits) + len(table.leaves)
+    return sum(1 for _ in _preorder(tree))
 
 
 def count_leaves(tree: TreeNode) -> int:
-    return len(NodeTable(tree).leaves)
+    return sum(isinstance(node, Leaf) for node, _ in _preorder(tree))
 
 
 def collect_splits(tree: TreeNode) -> list[Split]:
     """All internal nodes in preorder."""
-    return NodeTable(tree).splits
+    return [node for node, _ in _preorder(tree) if isinstance(node, Split)]
 
 
 # --- Entropy and split scoring ----------------------------------------------
@@ -354,21 +354,22 @@ class _Columns:
         self.root = _Node(self, rows, order)
 
     def best_split(self, node: _Node, pos: int, spec, criterion, min_leaf, threshold=None):
-        """Best ``(score, threshold)`` of splitting ``node`` on attribute ``pos``.
+        """Best ``(score, threshold, cut)`` of splitting ``node`` on attribute
+        ``pos``, where the first ``cut`` rows of ``node.order[pos]`` go left.
 
         Sweeps the node's sorted values with cumulative class counts over
         ``threshold`` or the ``numeric_candidates`` midpoints, skipping splits
         that leave a branch under ``min_leaf``. A sweep keeps the first score
-        above 0.0, a lone split its own."""
+        above 0.0, a lone split its own. A nominal split has no threshold or cut."""
         column, y, n = self.values[pos], self.y, len(node.rows)
         if spec.kind == NOMINAL:
             tally = Counter(zip(map(column.__getitem__, node.rows), map(y.__getitem__, node.rows)))
             parts = [[tally[v, c] for c in range(self.k)] for v in spec.domain]
             usable = min(map(sum, parts)) >= min_leaf
-            return (_split_score(node.h, parts, n, criterion) if usable else 0.0), None
+            return (_split_score(node.h, parts, n, criterion) if usable else 0.0), None, None
         ids = node.order[pos]
         values, classes = list(map(column.__getitem__, ids)), list(map(y.__getitem__, ids))
-        best = (0.0 if threshold is None else -math.inf, None)
+        best = (0.0 if threshold is None else -math.inf, None, None)
         thresholds = [threshold] if threshold is not None else _midpoints(values, classes)
         left, j = [0] * self.k, 0
         for t in thresholds:  # midpoints never decrease, so rows move left in one pass
@@ -379,7 +380,7 @@ class _Columns:
                 right = [p - a for p, a in zip(node.counts, left)]
                 score = _split_score(node.h, [left, right], n, criterion)
                 if score > best[0]:
-                    best = (score, t)
+                    best = (score, t, j)
         return best
 
 
@@ -498,22 +499,24 @@ def build_tree(
             or (max_depth is not None and depth >= max_depth)
         ):
             for pos, spec in enumerate(data.attributes):
-                score, t = columns.best_split(node, pos, spec, criterion, min_leaf)
+                score, t, cut = columns.best_split(node, pos, spec, criterion, min_leaf)
                 if score > best_score:
-                    best_score, best = score, (pos, spec, t)
+                    best_score, best = score, (pos, spec, t, cut)
         if best is None:
             return Leaf(_majority(counts, domain), {c: counts[i] / n for i, c in enumerate(domain)}, n)
-        pos, spec, t = best
-        column = columns.values[pos]
+        pos, spec, t, cut = best
         if spec.kind == NUMERIC:
             ids = node.order[pos]
-            j = bisect_right(list(map(column.__getitem__, ids)), t)  # rows <= t go left
-            le, gt = (grow(node.child(part), depth + 1) for part in (ids[:j], ids[j:]))
+            le, gt = (grow(node.child(part), depth + 1) for part in (ids[:cut], ids[cut:]))
             return Split(spec.name, pos, threshold=t, le=le, gt=gt)
+        column = columns.values[pos]
         members = {v: [i for i in node.rows if column[i] == v] for v in spec.domain}
         return Split(spec.name, pos, branches={v: grow(node.child(m), depth + 1) for v, m in members.items()})
 
-    return grow(columns.root, 0)
+    try:
+        return grow(columns.root, 0)
+    except RecursionError:
+        raise TreeTooDeep("tree deeper than the recursion limit; a larger min_leaf keeps it shallower") from None
 
 
 def predict(tree: TreeNode, instance) -> tuple[str, dict[str, float]]:
@@ -594,13 +597,11 @@ class RuleSet:
 
 
 def _merge_conditions(conds: list[Condition]) -> tuple[Condition, ...]:
-    # one bound per (attribute, op): <= keeps the smallest, > the largest
-    order: list[tuple[int, str]] = []
+    # one bound per (attribute, op), where it first appears: <= keeps the smallest, > the largest
     best: dict[tuple[int, str], Condition] = {}
     for c in conds:
         key = (c.index, c.op)
         if key not in best:
-            order.append(key)
             best[key] = c
         elif c.op == "<=" and c.value < best[key].value:
             best[key] = c
@@ -608,7 +609,7 @@ def _merge_conditions(conds: list[Condition]) -> tuple[Condition, ...]:
             best[key] = c
         elif c.op == "=":
             best[key] = c
-    return tuple(best[k] for k in order)
+    return tuple(best.values())
 
 
 def extract_rules(tree: TreeNode) -> RuleSet:
@@ -619,27 +620,11 @@ def extract_rules(tree: TreeNode) -> RuleSet:
     training count and confidence the leaf's majority-class fraction, so
     first-match classification over the rules reproduces the tree.
     """
-    rules: list[Rule] = []
-
-    def walk(node, conds):
-        if isinstance(node, Leaf):
-            rules.append(
-                Rule(
-                    conditions=_merge_conditions(conds),
-                    label=node.label,
-                    coverage=node.n,
-                    confidence=node.distribution[node.label],
-                )
-            )
-            return
-        if node.threshold is not None:
-            walk(node.le, conds + [Condition(node.attribute, node.index, "<=", node.threshold)])
-            walk(node.gt, conds + [Condition(node.attribute, node.index, ">", node.threshold)])
-        else:
-            for value, child in node.branches.items():
-                walk(child, conds + [Condition(node.attribute, node.index, "=", value)])
-
-    walk(tree, [])
+    rules = [
+        Rule(_merge_conditions(conds), node.label, node.n, node.distribution[node.label])
+        for node, conds in _preorder(tree)
+        if isinstance(node, Leaf)
+    ]
     return RuleSet(tuple(rules))
 
 
@@ -816,10 +801,13 @@ def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec
     """Read a model file written by ``save_model``.
 
     Raises ValueError for another format or version, and SchemaMismatch
-    when the schema or tree is missing, or a node lacks a field or does
-    not fit the schema.
+    when the schema or tree is missing, a node lacks a field or does not
+    fit the schema, or the tree is nested too deep to read.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise SchemaMismatch(f"{path}: malformed model: RecursionError: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
@@ -827,10 +815,10 @@ def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec
     try:
         attributes, label = schema_from_json(doc["schema"])
         tree = tree_from_json(doc["tree"])
-        NodeTable(tree, attributes, label)  # compiling checks the tree against the schema
+        NodeTable(tree, attributes, label)  # the table checks every node against the schema
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
         raise SchemaMismatch(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
     return tree, attributes, label
 

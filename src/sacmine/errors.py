@@ -61,6 +61,10 @@ class EmptyDataset(Error):
     """Operation requires at least one instance."""
 
 
+class TreeTooDeep(Error):
+    """Tree induction would nest deeper than Python's recursion limit."""
+
+
 class SchemaMismatch(Error):
     """Input rows or values do not fit their format or schema."""
 

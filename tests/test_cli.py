@@ -582,3 +582,59 @@ def test_gen_defaults_are_unchanged_when_options_are_unset(capsys, tmp_path):
         assert run(["gen", "--kind", "dataset", "--seed", "4", "--out", str(out), *extra]) == 0
         outputs.append((capsys.readouterr().out, out.read_bytes()))
     assert outputs[0] == outputs[1] and "59 instances" in outputs[0][0]
+
+
+def write_alternating_dataset(tmp_path, n):
+    """``n`` rows of x = 0.0, 1.0, ... whose class alternates a, b: every
+    threshold is a candidate, so a gain tree with min_leaf 1 is a deep chain."""
+    data = tmp_path / "alt.csv"
+    data.write_text("x,cls\n" + "".join(f"{float(i)},{'ab'[i % 2]}\n" for i in range(n)))
+    schema = {"columns": [{"name": "x", "kind": "numeric"},
+                          {"name": "cls", "kind": "nominal", "domain": ["a", "b"]}], "label": "cls"}
+    (tmp_path / "alt.schema.json").write_text(json.dumps(schema))
+    return data, schema
+
+
+def test_a_tree_too_deep_to_grow_is_one_error_line(capsys, tmp_path):
+    data, _ = write_alternating_dataset(tmp_path, 600)
+    assert run(["train", "--in", str(data), "--criterion", "gain", "--min-leaf", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TreeTooDeep: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["rules", "predict"])
+def test_a_model_nested_too_deep_to_read_names_the_model(capsys, tmp_path, command):
+    data, schema = write_alternating_dataset(tmp_path, 10)
+    depth, leaf = 1200, '{"type": "leaf", "class": "a", "n": 1, "distribution": {"a": 1.0}}'
+    splits = "".join(
+        f'{{"type": "split", "attribute": "x", "index": 0, "threshold": {i}.5, "le": {leaf}, "gt": '
+        for i in range(depth)
+    )
+    model = tmp_path / "deep.json"
+    model.write_text(
+        f'{{"format": "sacmine-tree", "version": 1, "schema": {json.dumps(schema)}, '
+        f'"tree": {splits}{leaf}{"}" * depth}}}'
+    )
+    argv = {"rules": ["--in", str(model)], "predict": ["--in", str(data), "--model", str(model)]}
+    assert run([command, *argv[command]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SchemaMismatch: {model}: malformed model: RecursionError: ")
+    assert err.count("\n") == 1
+
+
+def test_a_model_leaf_with_a_probability_above_one_names_the_model(capsys, tmp_path):
+    ds = make_dataset(tmp_path)
+    model = tmp_path / "model.json"
+    assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    node = doc["tree"]
+    while node["type"] == "split":
+        node = node["le"] if "le" in node else next(iter(node["branches"].values()))
+    node["distribution"] = {node["class"]: 7.5}
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--in", str(ds), "--model", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    label = doc["schema"]["label"]
+    assert captured.err == f"error: SchemaMismatch: {model}: leaf {node['class']!r} does not fit label {label!r}\n"

@@ -25,6 +25,7 @@ from sacmine.dtree import (
     count_leaves,
     count_nodes,
     evaluate,
+    extract_rules,
     predict,
 )
 from sacmine.errors import SchemaMismatch
@@ -115,9 +116,13 @@ def test_value_on_the_threshold_goes_left():
         Split("y", 0, threshold=1.0, le=LO, gt=HI),
         Split("x", 7, threshold=1.0, le=LO, gt=HI),
         Leaf("top", {"top": 1.0}, 1),
+        Leaf("lo", {"lo": 1.0}, True),
+        Leaf("lo", {"lo": 1.0}, -4),
+        Leaf("lo", {"lo": 7.5, "hi": -2.0}, 3),
     ],
     ids=["nominal-split-on-a-number", "numeric-split-on-a-nominal", "name-unlike-index",
-         "index-beyond-schema", "class-outside-label"],
+         "index-beyond-schema", "class-outside-label", "bool-count", "negative-count",
+         "probability-outside-0-1"],
 )
 def test_compiling_against_a_schema_rejects_a_node_that_does_not_fit(tree):
     with pytest.raises(SchemaMismatch):
@@ -130,3 +135,37 @@ def test_evaluate_raises_what_predict_raises_for_a_row_it_cannot_route():
     test = Dataset(ATTRIBUTES, LABEL, [Instance(row, "lo") for row in rows])
     with pytest.raises(SchemaMismatch, match="no branch for 'b'"):
         evaluate(tree, test)
+
+
+def test_a_tree_deeper_than_the_recursion_limit_is_walked_without_recursion():
+    # A chain of 1,500 splits: x <= i goes to a leaf, x > i one level down.
+    depth = 1500
+    tree = Leaf("hi", {"hi": 1.0}, 1)
+    for i in reversed(range(depth)):
+        label = LABEL.domain[i % 3]
+        tree = Split("x", 0, threshold=float(i), le=Leaf(label, {label: 1.0}, 1), gt=tree)
+    table = NodeTable(tree, ATTRIBUTES, LABEL)
+    assert len(table.splits) == depth and len(table.leaves) == depth + 1
+    assert count_nodes(tree) == 2 * depth + 1
+    assert [s.threshold for s in collect_splits(tree)] == [float(i) for i in range(depth)]
+    rules = extract_rules(tree)
+    assert len(rules.rules) == depth + 1
+    rows = [(x, "a", 0.0, "1") for x in (-1.0, 0.0, 0.5, 700.5, 1498.5, 1499.0, 1499.5)]
+    for row in rows:
+        assert rules.classify(row) == predict(tree, row)[0] == leaf_of(tree, row).label
+    assert [table.leaves[j] for j in table.route(rows)] == [leaf_of(tree, row) for row in rows]
+    test = Dataset(ATTRIBUTES, LABEL, [Instance(row, "lo") for row in rows])
+    assert evaluate(tree, test) == reference_evaluate(tree, test)
+
+
+def test_a_leaf_shared_by_two_branches_routes_and_counts_at_each_place():
+    shared = Leaf("mid", {"mid": 0.5, "lo": 0.5}, 2)
+    tree = Split("x", 0, threshold=2.5, le=shared, gt=Split("y", 2, threshold=0.0, le=LO, gt=shared))
+    table = NodeTable(tree, ATTRIBUTES, LABEL)
+    assert table.leaves == [shared, LO, shared]
+    assert (count_nodes(tree), count_leaves(tree)) == (5, 3)
+    rows = [(1.0, "a", 5.0, "1"), (3.0, "a", -1.0, "1"), (3.0, "b", 1.0, "2")]
+    assert [table.leaves[j] for j in table.route(rows)] == [shared, LO, shared]
+    assert [r.label for r in extract_rules(tree).rules] == ["mid", "lo", "mid"]
+    test = Dataset(ATTRIBUTES, LABEL, [Instance(row, "mid") for row in rows])
+    assert evaluate(tree, test) == reference_evaluate(tree, test)

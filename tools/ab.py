@@ -5,14 +5,16 @@
 BASE and CHANGE are checkouts, each with ``src/sacmine``. The workload's
 inputs are generated once, by running this repository's
 ``perfbench/inputs.py``; a workload with set-up steps (``model_apply``
-trains its model) runs them once, with BASE. Then each pair runs the
-workload's CLI steps from both trees, one after the other, alternating which
-goes first. Each side works in its own copy of the inputs.
+trains its model) runs them once with each tree, and both sides' timed steps
+use BASE's set-up outputs. Then each pair runs the workload's CLI steps from
+both trees, one after the other, alternating which goes first. Each side
+works in its own copy of the inputs.
 
 Printed per step and for the whole job: each side's median wall and CPU
 time, the median [Q1, Q3] of the CHANGE/BASE ratio over the pairs, and in
-how many pairs CHANGE was faster. The last line says whether both trees
-wrote byte-identical outputs (each step's ``--out`` file and stdout).
+how many pairs CHANGE was faster. The last lines say whether both trees
+wrote byte-identical outputs (each step's ``--out`` file and stdout), for
+the set-up steps, if the workload has any, and then for the timed steps.
 perfbench is only read: its workload table and child runner are imported.
 """
 
@@ -49,6 +51,11 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing"
 
 
+def _differ(names, base: Path, change: Path) -> list[str]:
+    """The files of ``names`` whose bytes differ between two directories."""
+    return [name for name in names if _digest(base / name) != _digest(change / name)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="source tree A")
@@ -75,9 +82,17 @@ def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path) -> in
     inputs = Runner(ROOT, work / "inputs")
     inputs.work.mkdir(parents=True, exist_ok=True)
     _ok(inputs, inputs.generate(wl.name, seed))
-    setup = Runner(trees["base"], inputs.work)
+    # The set-up steps run with each tree in its own copy of the generated
+    # inputs; only BASE's outputs feed the timed steps.
+    setups = {"base": Runner(trees["base"], inputs.work), "change": Runner(trees["change"], work / "setup-change")}
+    if wl.setup_steps:
+        shutil.copytree(inputs.work, setups["change"].work, dirs_exist_ok=True)
+    setup_outputs = []
     for command, step_args in wl.setup_steps:
-        _ok(setup, setup.sacmine(f"setup-{command}", [command, *step_args]))
+        for setup in setups.values():
+            _ok(setup, setup.sacmine(f"setup-{command}", [command, *step_args]))
+        setup_outputs += [step_args[i + 1] for i, a in enumerate(step_args) if a == "--out"]
+        setup_outputs.append(f"setup-{command}.stdout")
     runners = {}
     for side, tree in trees.items():
         (work / side).mkdir(exist_ok=True)
@@ -107,10 +122,13 @@ def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path) -> in
             wins = sum(c < b for b, c in zip(base, change))
             print(f"{key} {clock}_s: {statistics.median(base):.3f} -> {statistics.median(change):.3f}; "
                   f"ratio {_spread(ratios)}; faster in {wins}/{len(ratios)}")
+    setup_differ = _differ(setup_outputs, setups["base"].work, setups["change"].work)
+    if setup_outputs:
+        print("setup outputs: " + (f"differ in {', '.join(setup_differ)}" if setup_differ else "identical"))
     outputs = [name for command in steps for name in step_outputs(wl, command)]
-    differ = [name for name in outputs if _digest(work / "base" / name) != _digest(work / "change" / name)]
+    differ = _differ(outputs, work / "base", work / "change")
     print("outputs: identical" if not differ else f"outputs: differ in {', '.join(differ)}")
-    return 1 if differ else 0
+    return 1 if differ or setup_differ else 0
 
 
 if __name__ == "__main__":
