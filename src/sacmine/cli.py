@@ -318,7 +318,10 @@ def _cmd_gen(args) -> int:
             sys.stdout.write(payload.decode("utf-8"))
         return 0
     source = Path(args.thresholds) if args.thresholds else fixtures.path(fixtures.RULE_THRESHOLDS)
-    thresholds = json.loads(source.read_text(encoding="utf-8"))
+    try:
+        thresholds = json.loads(source.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{source}: {type(exc).__name__}: {exc}") from None
     n = 59 if args.n is None else args.n
     data = synthgen.generate_rule_labeled_dataset(thresholds, n, args.seed)
     if not args.out:
@@ -353,7 +356,7 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (Error, ValueError, json.JSONDecodeError) as exc:
+    except (Error, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

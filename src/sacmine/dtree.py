@@ -106,8 +106,8 @@ class Dataset:
             raise ValueError(f"duplicate column names: {names}")
         if self.label.kind != NOMINAL:
             raise ValueError("label must be nominal")
-        # Each instance is checked as it is drawn, so a reader that passes a
-        # generator over its rows gets every error while it is on that row.
+        # The CSV readers check each row as they read it, with its file:line,
+        # so this check catches only instances built in code.
         object.__setattr__(self, "instances", tuple(map(self._validate, self.instances)))
 
     def _validate(self, inst: Instance) -> Instance:
@@ -801,13 +801,14 @@ def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec
     """Read a model file written by ``save_model``.
 
     Raises ValueError for another format or version, and SchemaMismatch
-    when the schema or tree is missing, a node lacks a field or does not
-    fit the schema, or the tree is nested too deep to read.
+    when the file is not UTF-8 JSON, the schema or tree is missing, a node
+    lacks a field or does not fit the schema, or the tree is nested too deep
+    to read.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError as exc:
-        raise SchemaMismatch(f"{path}: malformed model: RecursionError: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise SchemaMismatch(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
@@ -853,36 +854,34 @@ def _read_schema(schema_path: Path) -> tuple[tuple[AttributeSpec, ...], Attribut
         raise SchemaMismatch(f"{schema_path}: {exc}") from None
 
 
-def _dataset_rows(table, attributes, label):
-    """The cells of each row of a dataset ``table`` that has exactly the
-    columns ``attributes`` and then ``label``, numeric cells as finite floats."""
-    names = [a.name for a in attributes] + [label.name]
-    if len(table.header) != len(names):
-        raise MissingHeader(f"expected the columns {names}")
-    return table.rows(names, {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC})
-
-
-def _in_domain(rows, attributes, label=None):
-    """``rows`` of cells in ``attributes`` order, then ``label`` if given,
-    yielded once every nominal cell is found in its domain; the first that is
-    not raises what :class:`Dataset` raises for it."""
-    checks = [(i, set(a.domain), a, False) for i, a in enumerate(attributes) if a.kind == NOMINAL]
+def _schema_rows(csv_path, attributes, label=None):
+    """The cells of each row of the CSV at ``csv_path`` in ``attributes``
+    order, then ``label``'s if given, numeric cells as finite floats. Given a
+    label, the CSV must have exactly those columns; without one, other columns
+    are ignored. A nominal cell or the label outside its domain raises what
+    :class:`Dataset` raises for it, with the ``file:line`` of its row."""
+    names = [a.name for a in attributes]
+    numeric = {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC}
+    nominal = [(i, set(a.domain), a) for i, a in enumerate(attributes) if a.kind == NOMINAL]
     if label is not None:
-        checks.append((len(attributes), set(label.domain), label, True))
-    for cells in rows:
-        for i, domain, spec, is_label in checks:
-            if cells[i] not in domain:
-                raise _outside_domain(spec, cells[i], is_label)
-        yield cells
+        names.append(label.name)
+        nominal.append((len(attributes), set(label.domain), label))
+    with tables.read(Path(csv_path)) as table:
+        if label is not None and len(table.header) != len(names):
+            raise MissingHeader(f"expected the columns {names}")
+        for cells in table.rows(names, numeric):
+            for i, domain, spec in nominal:
+                if cells[i] not in domain:
+                    raise _outside_domain(spec, cells[i], spec is label)
+            yield cells
 
 
 def read_dataset_csv(csv_path, schema_path=None) -> Dataset:
     """Load a labeled dataset; the sidecar schema defaults to <name>.schema.json."""
     schema_path = default_schema_path(csv_path) if schema_path is None else Path(schema_path)
     attributes, label = _read_schema(schema_path)
-    with tables.read(Path(csv_path)) as table:
-        rows = _dataset_rows(table, attributes, label)
-        return Dataset(attributes, label, (Instance(tuple(cells[:-1]), cells[-1]) for cells in rows))
+    rows = _schema_rows(csv_path, attributes, label)
+    return Dataset(attributes, label, (Instance(tuple(cells[:-1]), cells[-1]) for cells in rows))
 
 
 def read_labelled_csv(csv_path, attributes, label) -> list[list]:
@@ -897,14 +896,10 @@ def read_labelled_csv(csv_path, attributes, label) -> list[list]:
     sidecar_attributes, sidecar_label = _read_schema(schema_path)
     if sidecar_label != label or set(sidecar_attributes) != set(attributes):
         raise SchemaMismatch(f"{schema_path}: columns do not match the model schema")
-    with tables.read(Path(csv_path)) as table:
-        return list(_in_domain(_dataset_rows(table, attributes, label), attributes, label))
+    return list(_schema_rows(csv_path, attributes, label))
 
 
 def read_instances_csv(csv_path, attributes) -> list[tuple]:
     """Read unlabeled rows for prediction, checked as :class:`Dataset` checks
     them; any label column is ignored."""
-    numeric = {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC}
-    with tables.read(Path(csv_path)) as table:
-        rows = table.rows([a.name for a in attributes], numeric)
-        return list(map(tuple, _in_domain(rows, attributes)))
+    return list(map(tuple, _schema_rows(csv_path, attributes)))

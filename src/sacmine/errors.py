@@ -78,4 +78,4 @@ class InvalidParams(Error):
 
 
 class InvalidThresholds(Error):
-    """Rule thresholds are not strictly decreasing within (0, 100) or leave no room for the margin."""
+    """Rule thresholds are not a list of numbers strictly decreasing within (0, 100), or leave no room for the margin."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass
 
 from .dtree import AttributeSpec, Dataset, Instance
@@ -94,17 +95,20 @@ def generate_rule_labeled_dataset(
 ) -> Dataset:
     """Dataset whose label is a step function of the attendance average.
 
-    ``thresholds`` must be strictly decreasing within (0, 100); the bands
-    they cut out of [0, 100] get the top strength classes downward, so
-    five thresholds yield classes 10 through 5. Values are sampled at
-    least ``margin`` away from every threshold, and each band's extreme
-    points sit exactly at the margin so a learner can place its split
-    midpoints right on the generating thresholds. Bands are filled round
-    robin, which guarantees every class occurs once n reaches the band
-    count. Noise columns (attendance-taken count, semester) are appended.
+    ``thresholds`` must be a list of numbers (a bool is not one), strictly
+    decreasing within (0, 100); the bands they cut out of [0, 100] get the
+    top strength classes downward, so five thresholds yield classes 10
+    through 5. Values are sampled at least ``margin`` away from every
+    threshold, and each band's extreme points sit exactly at the margin so
+    a learner can place its split midpoints right on the generating
+    thresholds. Bands are filled round robin, which guarantees every class
+    occurs once n reaches the band count. Noise columns (attendance-taken
+    count, semester) are appended.
     """
     if n < 1:
         raise InvalidThresholds(f"n must be >= 1, got {n}")
+    if not isinstance(thresholds, (list, tuple)):
+        raise InvalidThresholds(f"thresholds must be a list of numbers, got {thresholds!r}")
     if not thresholds:
         raise InvalidThresholds("need at least one threshold")
     if len(thresholds) > 9:
@@ -112,6 +116,8 @@ def generate_rule_labeled_dataset(
     if margin <= 0:
         raise InvalidThresholds(f"margin must be positive, got {margin}")
     for t in thresholds:
+        if isinstance(t, bool) or not isinstance(t, numbers.Real):
+            raise InvalidThresholds(f"threshold {t!r} is not a number")
         if not 0.0 < t < 100.0:
             raise InvalidThresholds(f"threshold {t} outside (0, 100)")
     for t1, t2 in zip(thresholds, thresholds[1:]):

@@ -408,6 +408,47 @@ class TestMalformedInputs:
         assert run(["train", "--in", str(ds)]) == 1
         assert f"ds.csv:3: {message}" in capsys.readouterr().err
 
+    @staticmethod
+    def set_cells(path, number, cells):
+        """Replace the cells of line ``number`` at the column indices in ``cells``."""
+        TestMalformedInputs.replace_line(path, number, lambda line: ",".join(
+            cells.get(i, cell) for i, cell in enumerate(line.split(","))
+        ))
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [({0: "inf", 2: "3", 3: "11"}, "attend_avg: expected a finite number, got 'inf'"),
+         ({2: "3", 3: "11"}, "sem_no: '3' not in domain ('1', '2')")],
+        ids=["number-then-nominal-then-label", "nominal-then-label"],
+    )
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_every_reader_reports_a_row_s_first_fault_at_its_line(
+        self, capsys, tmp_path, command, cells, message
+    ):
+        """Numbers are checked before nominal cells, nominal cells before the label."""
+        ds = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+        self.set_cells(ds, 4, cells)
+        capsys.readouterr()
+        extra = [] if command == "train" else ["--model", str(model)]
+        assert run([command, "--in", str(ds), *extra]) == 1
+        assert capsys.readouterr().err == f"error: SchemaMismatch: {ds}:4: {message}\n"
+
+    def test_a_label_outside_its_domain_fails_only_the_commands_that_read_labels(
+        self, capsys, tmp_path
+    ):
+        ds = make_dataset(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+        self.set_cells(ds, 6, {3: "11"})
+        capsys.readouterr()
+        for argv in (["train"], ["evaluate", "--model", str(model)]):
+            assert run([argv[0], "--in", str(ds), *argv[1:]]) == 1
+            assert capsys.readouterr().err.startswith(f"error: SchemaMismatch: {ds}:6: label '11' not in ")
+        assert run(["predict", "--in", str(ds), "--model", str(model)]) == 0  # predict ignores the label
+        assert capsys.readouterr().err == ""
+
     def test_train_names_the_schema_of_a_numeric_label(self, capsys, tmp_path):
         ds = make_dataset(tmp_path)
         schema_path = tmp_path / "ds.schema.json"
@@ -569,6 +610,28 @@ def test_gen_rejects_an_option_of_the_other_kind(capsys, tmp_path, argv, reason)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'["a"]', "InvalidThresholds: threshold 'a' is not a number\n"),
+     (b'{"x": 1}', "InvalidThresholds: thresholds must be a list of numbers, got {'x': 1}\n"),
+     (b'"50"', "InvalidThresholds: thresholds must be a list of numbers, got '50'\n"),
+     (b"50", "InvalidThresholds: thresholds must be a list of numbers, got 50\n"),
+     (b"[50, true]", "InvalidThresholds: threshold True is not a number\n"),
+     (b"not json", "ValueError: {path}: JSONDecodeError: Expecting value: line 1 column 1 (char 0)\n"),
+     (b"\xff[50]", "ValueError: {path}: UnicodeDecodeError: ")],
+    ids=["text-item", "object", "string", "number", "bool-item", "not-json", "not-utf8"],
+)
+def test_gen_rejects_thresholds_that_are_not_a_list_of_numbers(capsys, tmp_path, content, message):
+    thresholds = tmp_path / "t.json"
+    thresholds.write_bytes(content)
+    out = tmp_path / "d.csv"
+    assert run(["gen", "--kind", "dataset", "--thresholds", str(thresholds), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: " + message.replace("{path}", str(thresholds)))
+    assert not out.exists()
+
+
 def test_gen_defaults_are_unchanged_when_options_are_unset(capsys, tmp_path):
     outputs = []
     for extra in ([], ["--modules", "12", "--weeks", "11"]):
@@ -600,6 +663,21 @@ def test_a_tree_too_deep_to_grow_is_one_error_line(capsys, tmp_path):
     assert run(["train", "--in", str(data), "--criterion", "gain", "--min-leaf", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: TreeTooDeep: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content, fault",
+    [(b"not json", "JSONDecodeError"), (b"\xff\xfe", "UnicodeDecodeError")],
+    ids=["not-json", "not-utf8"],
+)
+def test_a_model_that_is_not_utf8_json_names_the_model(capsys, tmp_path, content, fault):
+    model = tmp_path / "bad.json"
+    model.write_bytes(content)
+    assert run(["rules", "--in", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SchemaMismatch: {model}: malformed model: {fault}: ")
+    assert err.count("\n") == 1
+    assert run(["rules", "--in", str(tmp_path / "missing.json")]) == 2
 
 
 @pytest.mark.parametrize("command", ["rules", "predict"])

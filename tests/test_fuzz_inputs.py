@@ -145,8 +145,8 @@ def test_mutated_input_ends_in_an_exit_code(inputs, tmp_path, name, data):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_out_of_domain_nominal_value_exits_1_naming_its_line(inputs, tmp_path, capsys, data):
-    """``predict`` and ``evaluate --model`` check every nominal cell against
-    the model's domain, not only the cells a split reads."""
+    """``train``, ``predict`` and ``evaluate --model`` check every nominal cell
+    against its domain, not only the cells a split reads."""
     rows = list(csv.reader(io.StringIO((inputs / "ds.csv").read_text())))
     column = rows[0].index("sem_no")
     bad = data.draw(st.lists(st.integers(1, len(rows) - 1), min_size=1, max_size=3, unique=True))
@@ -160,6 +160,7 @@ def test_out_of_domain_nominal_value_exits_1_naming_its_line(inputs, tmp_path, c
     shutil.copy(inputs / "ds.schema.json", tmp_path / "ds.schema.json")
     first = min(bad)
     expected = f"{target}:{first + 1}: sem_no: {rows[first][column].strip()!r} not in domain"
-    for command in ("predict", "evaluate"):
-        assert run([command, "--in", str(target), "--model", str(inputs / "model.json")]) == 1
+    model = ["--model", str(inputs / "model.json")]
+    for command, extra in (("train", []), ("predict", model), ("evaluate", model)):
+        assert run([command, "--in", str(target), *extra]) == 1
         assert expected in capsys.readouterr().err
