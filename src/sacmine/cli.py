@@ -10,10 +10,14 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import json
 import operator
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -98,6 +102,36 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _spool():
+    """A temporary file to write UTF-8 text to, read back by :func:`_reread`.
+    It is opened write-only, because a text file that can also read resets
+    its decoder on every write: a Python call per line written."""
+    return tempfile.TemporaryFile("w", encoding="utf-8", newline="")
+
+
+def _reread(spool):
+    """The text written to ``spool``, through a new handle on its file that
+    reads from the start."""
+    spool.flush()
+    text = open(spool.fileno(), encoding="utf-8", newline="", closefd=False)
+    text.seek(0)
+    return text
+
+
+@contextmanager
+def _spooled_out(path: str | None):
+    """A file to write ``path``'s text to, or None without a path. ``path`` is
+    opened for writing, and the text copied into it, only once the block ends
+    without an error, so a failed run leaves an existing file as it was."""
+    if not path:
+        yield None
+        return
+    with _spool() as spool:
+        yield spool
+        with _reread(spool) as text, open(path, "w", newline="", encoding="utf-8") as fh:
+            shutil.copyfileobj(text, fh)
+
+
 def _criterion(name: str) -> str:
     from . import dtree
 
@@ -133,7 +167,7 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _score_rows_from_input(args) -> list[tuple]:
+def _score_rows_from_input(args):
     """Score an events CSV (row accounting goes to stderr) or module inputs."""
     from . import ingest, tables
 
@@ -144,7 +178,7 @@ def _score_rows_from_input(args) -> list[tuple]:
             raise ValueError(
                 f"{args.infile}: --weeks applies only to an events CSV; module inputs carry weeks_total"
             )
-        return ingest.read_module_inputs_csv(args.infile)
+        return ingest.module_input_rows(args.infile)
     weeks = 11 if args.weeks is None else args.weeks
     winners = _read_events(args.infile, weeks, sys.stderr)
     roster = ingest.read_roster_csv(args.roster) if args.roster else None
@@ -154,22 +188,34 @@ def _score_rows_from_input(args) -> list[tuple]:
     return ingest.score_rows(records)
 
 
+def _summarised(rows, file):
+    """Each of the scored ``rows``, once its summary line is written to ``file``."""
+    for row in rows:
+        module_code, semester, _, taken, _, value, strength = row
+        if value is None:
+            line = f"{module_code} sem {semester}: no attendance taken"
+        else:
+            line = f"{module_code} sem {semester}: sac {value:.3f} strength {strength} (taken {taken})"
+        print(line, file=file)
+        yield row
+
+
 def _cmd_score(args) -> int:
     from . import ingest
 
-    rows = _score_rows_from_input(args)
-    for module_code, semester, _, taken, _, value, strength in rows:
-        if value is None:
-            print(f"{module_code} sem {semester}: no attendance taken")
-        else:
-            print(f"{module_code} sem {semester}: sac {value:.3f} strength {strength} (taken {taken})")
-    if args.out:
-        if args.format == "csv":
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                ingest.write_aggregate_csv(rows, fh)
+    # Module inputs are scored as they are read; the summary lines wait in a
+    # spool until every row has passed its checks.
+    with _spool() as lines, _spooled_out(args.out) as out:
+        rows = _summarised(_score_rows_from_input(args), lines)
+        if out is None:
+            collections.deque(rows, maxlen=0)
+        elif args.format == "csv":
+            ingest.write_aggregate_csv(rows, out)
         else:
             doc = [dict(zip(ingest.AGGREGATE_HEADER, r)) for r in rows]
-            _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+            out.write(json.dumps(doc, indent=2) + "\n")
+        with _reread(lines) as text:
+            shutil.copyfileobj(text, sys.stdout)
     return 0
 
 
@@ -244,9 +290,10 @@ def _cmd_evaluate(args) -> int:
 
     if args.model:
         tree, attributes, label = dtree.load_model(args.model)
-        rows = dtree.read_labelled_csv(args.infile, attributes, label)
-        report = dtree.NodeTable(tree).evaluate(rows, [row[-1] for row in rows], label.domain)
-        sizes = {"train": None, "test": len(rows)}
+        rows = dtree.labelled_rows(args.infile, attributes, label)
+        chunks = ((chunk, [row[-1] for row in chunk]) for chunk in dtree.chunks(rows))
+        report = dtree.NodeTable(tree).evaluate(chunks, label.domain)
+        sizes = {"train": None, "test": sum(map(sum, report.confusion))}
     else:
         data = dtree.read_dataset_csv(args.infile)
         train, test = dtree.split_dataset(data, args.fraction, args.seed)
@@ -277,20 +324,25 @@ def _cmd_predict(args) -> int:
 
     tree, attributes, label = dtree.load_model(args.model)
     table = dtree.NodeTable(tree)
-    rows = dtree.read_instances_csv(args.infile, attributes)
-    leaf_ids = table.route(rows)
-    for row, j in zip(rows[:10], leaf_ids):
-        leaf = table.leaves[j]
-        print(f"{row} -> {label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
-    if len(rows) > 10:
-        print(f"... {len(rows) - 10} more")
-    if args.out:
-        # The class and confidence cells of each leaf; csv writes a float as its repr.
-        tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+    # The class and confidence cells of each leaf; csv writes a float as its repr.
+    tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
+    head, n = [], 0
+    with _spooled_out(args.out) as out:
+        if out is not None:
+            writer = csv.writer(out, lineterminator="\n")
             writer.writerow([a.name for a in attributes] + ["predicted", "confidence"])
-            writer.writerows(map(operator.add, rows, map(tails.__getitem__, leaf_ids)))
+        for chunk in dtree.chunks(dtree.instance_rows(args.infile, attributes)):
+            leaf_ids = table.route(chunk)
+            head += zip(chunk[: 10 - len(head)], leaf_ids)
+            n += len(chunk)
+            if out is not None:
+                writer.writerows(map(operator.add, chunk, map(tails.__getitem__, leaf_ids)))
+        # Printed only once every row has passed its checks.
+        for row, j in head:
+            leaf = table.leaves[j]
+            print(f"{row} -> {label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
+        if n > 10:
+            print(f"... {n - 10} more")
     return 0
 
 

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, islice
 from operator import add
 from pathlib import Path
 
@@ -237,25 +237,28 @@ class NodeTable:
             reached.append(node)
         return list(map(self._number.__getitem__, map(id, reached)))
 
-    def evaluate(self, rows, labels, domain) -> EvalReport:
-        """:func:`evaluate` of ``rows`` whose true classes are ``labels``.
+    def evaluate(self, chunks, domain) -> EvalReport:
+        """:func:`evaluate` of the rows of each ``(rows, labels)`` chunk of
+        ``chunks``, ``labels`` being the rows' true classes.
 
         The K squared errors of each (leaf, true class) pair are computed once,
-        but summed in one running sum, row by row and class by class, so the
-        RMSE is bit for bit the one of a loop over rows."""
-        n = len(labels)
+        but summed in one running sum, row by row and class by class, carried
+        from chunk to chunk, so the RMSE is bit for bit the one of a loop over rows."""
+        counts: Counter = Counter()
+        terms: dict[tuple[int, str], list[float]] = {}
+        sq = 0.0
+        for rows, labels in chunks:
+            pairs = list(zip(self.route(rows), labels))
+            counts.update(pairs)
+            for j, truth in set(pairs).difference(terms):
+                terms[j, truth] = [
+                    (self.leaves[j].distribution.get(c, 0.0) - (1.0 if c == truth else 0.0)) ** 2
+                    for c in domain
+                ]
+            sq = reduce(add, chain.from_iterable(map(terms.__getitem__, pairs)), sq)
+        n = sum(counts.values())
         if not n:
             raise EmptyDataset("evaluate needs a non-empty test set")
-        pairs = list(zip(self.route(rows), labels))
-        counts = Counter(pairs)
-        terms = {
-            (j, truth): [
-                (self.leaves[j].distribution.get(c, 0.0) - (1.0 if c == truth else 0.0)) ** 2
-                for c in domain
-            ]
-            for j, truth in counts
-        }
-        sq = reduce(add, chain.from_iterable(map(terms.__getitem__, pairs)), 0.0)
         pos = {c: i for i, c in enumerate(domain)}
         k = len(domain)
         confusion = [[0] * k for _ in range(k)]
@@ -652,7 +655,7 @@ def evaluate(tree: TreeNode, test: Dataset) -> EvalReport:
     rows = [inst.values for inst in test.instances]
     labels = [inst.label for inst in test.instances]
     try:
-        return NodeTable(tree).evaluate(rows, labels, test.label.domain)
+        return NodeTable(tree).evaluate([(rows, labels)], test.label.domain)
     except (LookupError, TypeError):
         for row in rows:
             predict(tree, row)
@@ -884,9 +887,9 @@ def read_dataset_csv(csv_path, schema_path=None) -> Dataset:
     return Dataset(attributes, label, (Instance(tuple(cells[:-1]), cells[-1]) for cells in rows))
 
 
-def read_labelled_csv(csv_path, attributes, label) -> list[list]:
-    """The rows of a dataset CSV, to be scored by a model of schema
-    ``attributes`` and ``label``, checked as :class:`Dataset` checks them.
+def labelled_rows(csv_path, attributes, label):
+    """The rows of a dataset CSV, one at a time, to be scored by a model of
+    schema ``attributes`` and ``label``, checked as :class:`Dataset` checks them.
 
     The sidecar schema must declare the model's columns, by name, with the
     same kinds and domains; each row's cells follow the model's column
@@ -896,10 +899,27 @@ def read_labelled_csv(csv_path, attributes, label) -> list[list]:
     sidecar_attributes, sidecar_label = _read_schema(schema_path)
     if sidecar_label != label or set(sidecar_attributes) != set(attributes):
         raise SchemaMismatch(f"{schema_path}: columns do not match the model schema")
-    return list(_schema_rows(csv_path, attributes, label))
+    return _schema_rows(csv_path, attributes, label)
+
+
+def instance_rows(csv_path, attributes):
+    """Unlabeled rows for prediction, one tuple at a time, checked as
+    :class:`Dataset` checks them; any label column is ignored."""
+    return map(tuple, _schema_rows(csv_path, attributes))
 
 
 def read_instances_csv(csv_path, attributes) -> list[tuple]:
-    """Read unlabeled rows for prediction, checked as :class:`Dataset` checks
-    them; any label column is ignored."""
-    return list(map(tuple, _schema_rows(csv_path, attributes)))
+    """All of :func:`instance_rows` as a list."""
+    return list(instance_rows(csv_path, attributes))
+
+
+#: The rows the apply path holds at a time: ``predict`` and ``evaluate --model``
+#: route and score one chunk of this many rows before they read the next.
+CHUNK = 1024
+
+
+def chunks(rows):
+    """Consecutive lists of :data:`CHUNK` rows of the iterable ``rows``; the last may be shorter."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK)):
+        yield chunk

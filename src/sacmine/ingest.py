@@ -351,13 +351,12 @@ def score_rows(records: list[ModuleTermRecord]) -> list[tuple]:
     return rows
 
 
-def read_module_inputs_csv(path) -> list[tuple]:
-    """Read pre-aggregated module inputs and score them.
+def module_input_rows(path):
+    """Score pre-aggregated module inputs, yielding one row at a time.
 
     Expects header ``module_code,semester,weeks_total,attendance_taken,attend_avg``;
-    returns the same row shape as :func:`score_rows`.
+    yields the same row shape as :func:`score_rows`.
     """
-    rows = []
     with tables.read(Path(path)) as table:
         table.expect(MODULE_INPUT_HEADER)
         counts = {1: int, 2: int, 3: int}
@@ -365,8 +364,12 @@ def read_module_inputs_csv(path) -> list[tuple]:
             if not module_code or semester not in (1, 2):
                 raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester}")
             avg = tables.number("attend_avg", avg_s, float) if taken else None
-            rows.append(_scored(module_code, semester, weeks, taken, avg))
-    return rows
+            yield _scored(module_code, semester, weeks, taken, avg)
+
+
+def read_module_inputs_csv(path) -> list[tuple]:
+    """All of :func:`module_input_rows` as a list."""
+    return list(module_input_rows(path))
 
 
 def write_aggregate_csv(rows: list[tuple], fh) -> None:

@@ -15,9 +15,16 @@ def test_one_pair_of_a_tree_against_itself(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines[2:-1]] == [
-        "job wall_s", "job cpu_s", "train wall_s", "train cpu_s", "evaluate wall_s", "evaluate cpu_s"
+    assert [line.split(":")[0] for line in lines[3:-1]] == [
+        f"{step} {metric}" for step in ("job", "train", "evaluate") for metric in ("wall_s", "cpu_s", "rss_mib")
     ]
-    assert all("faster in " in line and line.endswith("/1") for line in lines[2:-1])
+    assert all(("lower in " if "rss_mib" in line else "faster in ") in line and line.endswith("/1")
+               for line in lines[3:-1])
+    # A job's peak RSS is its largest step's; the header gives the least a child can read.
+    floor = float(lines[1].split(", ")[-1].split()[0])
+    rss = {line.split()[0]: line.split(";")[0].split(": ")[1].split(" -> ") for line in lines[3:-1] if "rss_mib" in line}
+    for side in (0, 1):
+        assert float(rss["job"][side]) == max(float(rss["train"][side]), float(rss["evaluate"][side]))
+    assert floor > 0
     assert lines[-1] == "outputs: identical"
     assert (tmp_path / "base" / "model.json").read_bytes() == (tmp_path / "change" / "model.json").read_bytes()

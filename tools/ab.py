@@ -10,9 +10,12 @@ use BASE's set-up outputs. Then each pair runs the workload's CLI steps from
 both trees, one after the other, alternating which goes first. Each side
 works in its own copy of the inputs.
 
-Printed per step and for the whole job: each side's median wall and CPU
-time, the median [Q1, Q3] of the CHANGE/BASE ratio over the pairs, and in
-how many pairs CHANGE was faster. The last lines say whether both trees
+Printed per step and for the whole job: each side's median wall time, CPU
+time and peak RSS (a job's peak is its largest step's), the median [Q1, Q3]
+of the CHANGE/BASE ratio over the pairs, and in how many pairs CHANGE was
+faster, or for RSS lower. A child's peak RSS starts at this process's own
+peak, so the header states the peak RSS of a child that does nothing: a
+step that reads no more than that used at most that much. The last lines say whether both trees
 wrote byte-identical outputs (each step's ``--out`` file and stdout), for
 the set-up steps, if the workload has any, and then for the timed steps.
 perfbench is only read: its workload table and child runner are imported.
@@ -22,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -34,12 +39,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WORKLOADS, Runner, step_outputs  # noqa: E402
 
 
-def _ok(runner: Runner, child) -> tuple[float, float]:
-    """The wall and CPU time of a child that exited 0; otherwise stop with its stderr."""
+def _ok(runner: Runner, child) -> tuple[float, float, float]:
+    """The wall time, CPU time and peak RSS of a child that exited 0; otherwise
+    stop with its stderr."""
     if child.code != 0:
         tail = runner.stderr_tail(child.command)
         raise SystemExit(f"{runner.work}: {child.command} exited {child.code}: {tail}")
-    return child.wall_s, child.cpu_s
+    return child.wall_s, child.cpu_s, child.rss_mib
+
+
+def _floor_mib() -> float:
+    """The peak RSS of a Python child that does nothing, in MiB."""
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    return os.wait4(proc.pid, 0)[2].ru_maxrss / 1024
 
 
 def _spread(values: list[float]) -> str:
@@ -104,24 +116,25 @@ def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path) -> in
     times = {side: {key: [] for key in ["job", *steps]} for side in trees}
     for pair in range(pairs):
         for side in (("base", "change") if pair % 2 == 0 else ("change", "base")):
-            job = [0.0, 0.0]
+            job = [0.0, 0.0, 0.0]
             for command, step_args in wl.steps:
                 runner = runners[side]
-                wall, cpu = _ok(runner, runner.sacmine(command, [command, *step_args]))
-                times[side][command].append((wall, cpu))
-                job = [job[0] + wall, job[1] + cpu]
+                wall, cpu, rss = _ok(runner, runner.sacmine(command, [command, *step_args]))
+                times[side][command].append((wall, cpu, rss))
+                job = [job[0] + wall, job[1] + cpu, max(job[2], rss)]
             times[side]["job"].append(tuple(job))
 
     print(f"# {wl.name} seed {seed}, {pairs} pairs; base {trees['base']}, change {trees['change']}")
-    print("# row: base median, change median, change/base ratio median [Q1, Q3], pairs change faster")
+    print(f"# each child's rss_mib is at least that of a child that does nothing, {_floor_mib():.3f} MiB")
+    print("# row: base median, change median, change/base ratio median [Q1, Q3], pairs change faster or lower")
     for key in ["job", *steps]:
-        for i, clock in enumerate(("wall", "cpu")):
+        for i, (metric, better) in enumerate((("wall_s", "faster"), ("cpu_s", "faster"), ("rss_mib", "lower"))):
             base = [t[i] for t in times["base"][key]]
             change = [t[i] for t in times["change"][key]]
             ratios = [c / b for b, c in zip(base, change)]
             wins = sum(c < b for b, c in zip(base, change))
-            print(f"{key} {clock}_s: {statistics.median(base):.3f} -> {statistics.median(change):.3f}; "
-                  f"ratio {_spread(ratios)}; faster in {wins}/{len(ratios)}")
+            print(f"{key} {metric}: {statistics.median(base):.3f} -> {statistics.median(change):.3f}; "
+                  f"ratio {_spread(ratios)}; {better} in {wins}/{len(ratios)}")
     setup_differ = _differ(setup_outputs, setups["base"].work, setups["change"].work)
     if setup_outputs:
         print("setup outputs: " + (f"differ in {', '.join(setup_differ)}" if setup_differ else "identical"))
