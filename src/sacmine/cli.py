@@ -17,7 +17,7 @@ import operator
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -71,10 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a model, or split/train/evaluate")
     p.add_argument("--in", dest="infile", required=True, help="dataset CSV")
     p.add_argument("--model", help="model JSON; omit to split, train and evaluate")
-    p.add_argument("--fraction", type=float, default=0.70, help="train fraction (default 0.70)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--criterion", choices=["gain", "gain-ratio"], default="gain-ratio")
-    p.add_argument("--min-leaf", type=int, default=2)
+    p.add_argument("--fraction", type=float, help="train fraction (default 0.70)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--criterion", choices=["gain", "gain-ratio"])
+    p.add_argument("--min-leaf", type=int)
     p.add_argument("--out", help="evaluation report artifact")
     p.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -97,38 +97,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _spool():
-    """A temporary file to write UTF-8 text to, read back by :func:`_reread`.
-    It is opened write-only, because a text file that can also read resets
-    its decoder on every write: a Python call per line written."""
-    return tempfile.TemporaryFile("w", encoding="utf-8", newline="")
-
-
-def _reread(spool):
-    """The text written to ``spool``, through a new handle on its file that
-    reads from the start."""
-    spool.flush()
-    text = open(spool.fileno(), encoding="utf-8", newline="", closefd=False)
-    text.seek(0)
-    return text
-
-
 @contextmanager
-def _spooled_out(path: str | None):
-    """A file to write ``path``'s text to, or None without a path. ``path`` is
-    opened for writing, and the text copied into it, only once the block ends
-    without an error, so a failed run leaves an existing file as it was."""
-    if not path:
+def _held(target):
+    """A file to write the text for ``target``, an ``--out`` path or a stream
+    such as ``sys.stdout``, or None without one. The text waits in a
+    write-only temporary file (one that can also read resets its decoder on
+    every write) and reaches ``target`` only if the block ends without an
+    error; a path is opened for writing only then."""
+    if not target:
         yield None
         return
-    with _spool() as spool:
+    with tempfile.TemporaryFile("w", encoding="utf-8", newline="") as spool:
         yield spool
-        with _reread(spool) as text, open(path, "w", newline="", encoding="utf-8") as fh:
+        spool.flush()
+        is_path = isinstance(target, str)
+        out = open(target, "w", newline="", encoding="utf-8") if is_path else nullcontext(target)
+        with out as fh, open(spool.fileno(), encoding="utf-8", newline="", closefd=False) as text:
+            text.seek(0)
             shutil.copyfileobj(text, fh)
 
 
@@ -174,10 +159,11 @@ def _score_rows_from_input(args):
     with tables.read(Path(args.infile)) as table:
         is_events = table.header == ingest.EVENTS_HEADER
     if not is_events:
-        if args.weeks is not None:
-            raise ValueError(
-                f"{args.infile}: --weeks applies only to an events CSV; module inputs carry weeks_total"
-            )
+        for name, column in (("weeks", "weeks_total"), ("roster", "attend_avg")):
+            if getattr(args, name) is not None:
+                raise ValueError(
+                    f"{args.infile}: --{name} applies only to an events CSV; module inputs carry {column}"
+                )
         return ingest.module_input_rows(args.infile)
     weeks = 11 if args.weeks is None else args.weeks
     winners = _read_events(args.infile, weeks, sys.stderr)
@@ -203,19 +189,15 @@ def _summarised(rows, file):
 def _cmd_score(args) -> int:
     from . import ingest
 
-    # Module inputs are scored as they are read; the summary lines wait in a
-    # spool until every row has passed its checks.
-    with _spool() as lines, _spooled_out(args.out) as out:
+    # Module inputs are scored as they are read; stdout and --out are held
+    # until every row has passed its checks, and stdout is released first.
+    write = ingest.write_aggregate_csv if args.format == "csv" else ingest.write_aggregate_json
+    with _held(args.out) as out, _held(sys.stdout) as lines:
         rows = _summarised(_score_rows_from_input(args), lines)
         if out is None:
             collections.deque(rows, maxlen=0)
-        elif args.format == "csv":
-            ingest.write_aggregate_csv(rows, out)
         else:
-            doc = [dict(zip(ingest.AGGREGATE_HEADER, r)) for r in rows]
-            out.write(json.dumps(doc, indent=2) + "\n")
-        with _reread(lines) as text:
-            shutil.copyfileobj(text, sys.stdout)
+            write(rows, out)
     return 0
 
 
@@ -231,9 +213,8 @@ def _cmd_reliability(args) -> int:
     )
     if args.out:
         if args.format == "json":
-            _write_text(
-                args.out,
-                json.dumps(reliability.breakdown_to_json(breakdown), indent=2) + "\n",
+            Path(args.out).write_text(
+                json.dumps(reliability.breakdown_to_json(breakdown), indent=2) + "\n", encoding="utf-8"
             )
         else:
             lines = [
@@ -242,7 +223,7 @@ def _cmd_reliability(args) -> int:
                 f"sum_item_variance {breakdown.sum_item_variance!r}",
                 f"total_score_variance {breakdown.total_score_variance!r}",
             ]
-            _write_text(args.out, "\n".join(lines) + "\n")
+            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
@@ -267,7 +248,7 @@ def _cmd_rules(args) -> int:
         print(line)
     if args.out:
         if args.format == "text":
-            _write_text(args.out, "\n".join(lines) + "\n")
+            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
         else:
             doc = [
                 {
@@ -281,13 +262,20 @@ def _cmd_rules(args) -> int:
                 }
                 for rule in ruleset.rules
             ]
-            _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+            Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     from . import dtree
 
+    # Only a run without --model splits, so only it takes these options.
+    split = {"fraction": 0.70, "seed": 0, "criterion": "gain-ratio", "min_leaf": 2}
+    for name, default in split.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.model:
+            raise ValueError(f"--{name.replace('_', '-')} applies only to evaluate without --model")
     if args.model:
         tree, attributes, label = dtree.load_model(args.model)
         rows = dtree.labelled_rows(args.infile, attributes, label)
@@ -310,11 +298,10 @@ def _cmd_evaluate(args) -> int:
             "sizes": sizes,
         }
         if args.format == "json":
-            _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+            Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         else:
-            _write_text(
-                args.out,
-                f"accuracy {report.accuracy!r}\nrmse {report.rmse!r}\n",
+            Path(args.out).write_text(
+                f"accuracy {report.accuracy!r}\nrmse {report.rmse!r}\n", encoding="utf-8"
             )
     return 0
 
@@ -327,7 +314,7 @@ def _cmd_predict(args) -> int:
     # The class and confidence cells of each leaf; csv writes a float as its repr.
     tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
     head, n = [], 0
-    with _spooled_out(args.out) as out:
+    with _held(args.out) as out:
         if out is not None:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow([a.name for a in attributes] + ["predicted", "confidence"])

@@ -15,8 +15,10 @@ tally.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -28,15 +30,11 @@ from .errors import SchemaMismatch, WeekOutOfRange
 EVENTS_HEADER = ("student_id", "module_code", "semester", "week", "status")
 ROSTER_HEADER = ("module_code", "semester", "registered")
 MODULE_INPUT_HEADER = ("module_code", "semester", "weeks_total", "attendance_taken", "attend_avg")
-AGGREGATE_HEADER = (
-    "module_code",
-    "semester",
-    "weeks_total",
-    "attendance_taken",
-    "attend_avg",
-    "sac",
-    "sac_strength",
-)
+AGGREGATE_HEADER = MODULE_INPUT_HEADER + ("sac", "sac_strength")
+
+#: Rows per ``json.dumps`` call of :func:`write_aggregate_json`; each call
+#: builds the pure-Python indenting encoder anew.
+JSON_BATCH = 1024
 
 # An events log after cleaning: (module_code, semester, week, student_id) -> present.
 EventMap = dict[tuple[str, int, int, str], bool]
@@ -388,3 +386,15 @@ def write_aggregate_csv(rows: list[tuple], fh) -> None:
                 strength,
             ]
         )
+
+
+def write_aggregate_json(rows, fh) -> None:
+    """Write scored rows, unrounded, as ``json.dumps(objects, indent=2) + "\\n"`` does,
+    one object per row: each :data:`JSON_BATCH` rows are encoded by one call and
+    written without their brackets, inside one ``[`` ... ``]``."""
+    rows = iter(rows)
+    opening = "[\n"
+    while batch := [dict(zip(AGGREGATE_HEADER, row)) for row in islice(rows, JSON_BATCH)]:
+        fh.write(opening + json.dumps(batch, indent=2)[2:-2])
+        opening = ",\n"
+    fh.write("[]\n" if opening == "[\n" else "\n]\n")

@@ -4,13 +4,17 @@ one chunk of ``dtree.CHUNK`` rows at a time.
 Whatever the chunk size, and whether a file ends on a chunk boundary or not,
 each command writes what one pass over the whole file gives: the predictions
 of the nested tree, the report of ``tests/reference_evaluate.py`` bit for bit,
-and the scores of ``read_module_inputs_csv``. A bad row in a later chunk still
-ends the run with its ``file:line`` before anything reaches stdout or
-``--out``, and memory does not grow with the number of rows.
+and the scores of ``read_module_inputs_csv``; ``score --format json`` encodes
+``ingest.JSON_BATCH`` rows at a time and writes what one ``json.dumps`` of every
+row gives. A bad row in a later chunk still ends the run with its ``file:line``
+before anything reaches stdout or ``--out``, and memory does not grow with the
+number of rows.
 """
 
+import contextlib
 import io
 import json
+import os
 import random
 import tracemalloc
 
@@ -133,6 +137,21 @@ def test_every_chunk_split_gives_the_one_pass_outputs(capsys, monkeypatch, tmp_p
     assert (capsys.readouterr().out, out.read_text(encoding="utf-8")) == one_pass_score(inputs)
 
 
+@pytest.mark.parametrize("batch", [SMALL_CHUNK, ingest.JSON_BATCH], ids=["small-batch", "real-batch"])
+@pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1", "2B+1"])
+def test_every_batch_split_gives_the_one_pass_json(capsys, monkeypatch, tmp_path, batch, rows):
+    n = {"0": 0, "1": 1, "B-1": batch - 1, "B": batch, "B+1": batch + 1, "2B+1": 2 * batch + 1}[rows]
+    monkeypatch.setattr(ingest, "JSON_BATCH", batch)
+    inputs = write_module_inputs(tmp_path, n)
+    out = tmp_path / "scores.json"
+    assert run(["score", "--in", str(inputs), "--out", str(out), "--format", "json"]) == 0
+    scored = ingest.read_module_inputs_csv(inputs)
+    assert n < 2 or any(value is None for *_, value, _ in scored)  # rows never taken give nulls
+    doc = [dict(zip(ingest.AGGREGATE_HEADER, row)) for row in scored]
+    assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+    assert capsys.readouterr().out == one_pass_score(inputs)[0]
+
+
 def bad_row_case(command, tmp_path, model, n, bad):
     """Arguments for ``command`` on an n-row input whose row ``bad`` (1-based,
     after the header) is malformed, and the error line it must end with."""
@@ -155,7 +174,7 @@ def bad_row_case(command, tmp_path, model, n, bad):
     return [command, "--in", str(path), "--model", str(model)], f"SchemaMismatch: {path}:{bad + 1}: {message}"
 
 
-@pytest.mark.parametrize("command", ["predict", "evaluate", "score"])
+@pytest.mark.parametrize("command", ["predict", "evaluate", "score", "score-json"])
 @pytest.mark.parametrize(
     "chunk, n, bad",
     [(SMALL_CHUNK, 2 * SMALL_CHUNK + 5, 2 * SMALL_CHUNK + 3), (REAL_CHUNK, REAL_CHUNK + 20, REAL_CHUNK + 7)],
@@ -166,7 +185,10 @@ def test_a_bad_row_in_a_later_chunk_prints_nothing_and_leaves_out_as_it_was(
 ):
     assert bad > 10 and bad > chunk
     monkeypatch.setattr(dtree, "CHUNK", chunk)
-    argv, error = bad_row_case(command, tmp_path, model, n, bad)
+    monkeypatch.setattr(ingest, "JSON_BATCH", chunk)
+    argv, error = bad_row_case(command.removesuffix("-json"), tmp_path, model, n, bad)
+    if command == "score-json":
+        argv += ["--format", "json"]
     out = tmp_path / "out.txt"
     out.write_bytes(b"an earlier run's output\n")
     assert run([*argv, "--out", str(out)]) == 1
@@ -207,15 +229,20 @@ def traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("command", ["predict", "evaluate"])
-def test_peak_memory_does_not_grow_with_the_rows(capsys, tmp_path, model, command):
+@pytest.mark.parametrize("command", ["predict", "evaluate", "score-csv", "score-json"])
+def test_peak_memory_does_not_grow_with_the_rows(tmp_path, model, command):
     """Ten times the rows must not near double the traced peak: no command
-    may hold a list of the whole file."""
+    may hold a list of the whole file. stdout goes to the null device, so
+    that the lines score prints are not held by the test's capture."""
     peaks = []
     for n in (2000, 20000):
-        labelled = write_labelled(tmp_path, n)
-        argv = [command, "--in", str(labelled), "--model", str(model), "--out", str(tmp_path / "out")]
-        assert run(argv) == 0  # imports and first-use caches are not what is measured
-        peaks.append(traced_peak(argv))
-    capsys.readouterr()
+        if command.startswith("score"):
+            inputs = write_module_inputs(tmp_path, n)
+            argv = ["score", "--in", str(inputs), "--format", command.removeprefix("score-")]
+        else:
+            argv = [command, "--in", str(write_labelled(tmp_path, n)), "--model", str(model)]
+        argv += ["--out", str(tmp_path / "out")]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            assert run(argv) == 0  # imports and first-use caches are not what is measured
+            peaks.append(traced_peak(argv))
     assert peaks[1] < 2 * peaks[0], peaks

@@ -716,3 +716,49 @@ def test_a_model_leaf_with_a_probability_above_one_names_the_model(capsys, tmp_p
     assert captured.out == ""
     label = doc["schema"]["label"]
     assert captured.err == f"error: SchemaMismatch: {model}: leaf {node['class']!r} does not fit label {label!r}\n"
+
+
+@pytest.mark.parametrize("roster", ["missing.csv", "roster.csv"], ids=["missing-file", "valid-file"])
+def test_score_rejects_a_roster_with_module_inputs(capsys, tmp_path, roster):
+    (tmp_path / "roster.csv").write_text("module_code,semester,registered\nM1,1,40\n")
+    out = tmp_path / "scored.csv"
+    assert run(["score", "--in", MODULE_SAMPLE, "--roster", str(tmp_path / roster), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: ValueError: {MODULE_SAMPLE}: --roster applies only to an events CSV; "
+        "module inputs carry attend_avg\n"
+    ))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--fraction", "0.3"), ("--seed", "9"), ("--criterion", "gain"), ("--min-leaf", "7"),
+     ("--seed", "0")],
+    ids=["fraction", "seed", "criterion", "min-leaf", "seed-at-its-default"],
+)
+def test_evaluate_with_a_model_rejects_the_split_options(capsys, tmp_path, option, value):
+    ds = make_dataset(tmp_path)
+    model = tmp_path / "model.json"
+    assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "eval.json"
+    assert run(["evaluate", "--in", str(ds), "--model", str(model), option, value, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: ValueError: {option} applies only to evaluate without --model\n")
+    assert not out.exists()
+
+
+def test_evaluate_without_a_model_defaults_the_split_options(capsys, tmp_path):
+    ds = make_dataset(tmp_path)
+    capsys.readouterr()
+    outputs = []
+    for extra in ([], ["--fraction", "0.70", "--seed", "0", "--criterion", "gain-ratio", "--min-leaf", "2"]):
+        out = tmp_path / "eval.json"
+        assert run(["evaluate", "--in", str(ds), "--out", str(out), *extra]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["sizes"] == {"train": 41, "test": 18}
+    out = tmp_path / "eval.json"
+    argv = ["evaluate", "--in", str(ds), "--out", str(out), "--fraction", "0.5", "--seed", "9",
+            "--criterion", "gain", "--min-leaf", "7"]
+    assert run(argv) == 0
+    assert json.loads(out.read_bytes())["sizes"] == {"train": 30, "test": 29}
