@@ -2,9 +2,10 @@
 
 Subcommands: ingest, score, reliability, train, rules, evaluate, predict,
 gen. Human-readable summaries go to stdout; machine artifacts are written
-to --out. Exit codes: 0 success, 1 validation or domain error, 2 I/O
-error. Identical arguments plus identical input files always produce
-byte-identical artifacts.
+to --out. stdout is held until the command returns, after --out is
+written, so a run that fails prints nothing on stdout. Exit codes: 0
+success, 1 validation or domain error, 2 I/O error. Identical arguments
+plus identical input files always produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import operator
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, redirect_stdout
 from pathlib import Path
 
 from . import __version__
@@ -104,7 +105,7 @@ def _held(target):
     write-only temporary file (one that can also read resets its decoder on
     every write) and reaches ``target`` only if the block ends without an
     error; a path is opened for writing only then."""
-    if not target:
+    if target is None:
         yield None
         return
     with tempfile.TemporaryFile("w", encoding="utf-8", newline="") as spool:
@@ -146,7 +147,7 @@ def _cmd_ingest(args) -> int:
     from . import ingest
 
     winners = _read_events(args.infile, None, sys.stdout)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             ingest.write_event_map_csv(winners, fh)
     return 0
@@ -167,33 +168,32 @@ def _score_rows_from_input(args):
         return ingest.module_input_rows(args.infile)
     weeks = 11 if args.weeks is None else args.weeks
     winners = _read_events(args.infile, weeks, sys.stderr)
-    roster = ingest.read_roster_csv(args.roster) if args.roster else None
+    roster = None if args.roster is None else ingest.read_roster_csv(args.roster)
     records, rejections = ingest.aggregate_event_map(winners, roster, weeks)
     for diag in rejections:
         print(f"rejected record: {diag}", file=sys.stderr)
     return ingest.score_rows(records)
 
 
-def _summarised(rows, file):
-    """Each of the scored ``rows``, once its summary line is written to ``file``."""
+def _summarised(rows):
+    """Each of the scored ``rows``, once its summary line is printed."""
     for row in rows:
         module_code, semester, _, taken, _, value, strength = row
         if value is None:
             line = f"{module_code} sem {semester}: no attendance taken"
         else:
             line = f"{module_code} sem {semester}: sac {value:.3f} strength {strength} (taken {taken})"
-        print(line, file=file)
+        print(line)
         yield row
 
 
 def _cmd_score(args) -> int:
     from . import ingest
 
-    # Module inputs are scored as they are read; stdout and --out are held
-    # until every row has passed its checks, and stdout is released first.
+    # Module inputs are scored as they are read, so --out is held too.
     write = ingest.write_aggregate_csv if args.format == "csv" else ingest.write_aggregate_json
-    with _held(args.out) as out, _held(sys.stdout) as lines:
-        rows = _summarised(_score_rows_from_input(args), lines)
+    with _held(args.out) as out:
+        rows = _summarised(_score_rows_from_input(args))
         if out is None:
             collections.deque(rows, maxlen=0)
         else:
@@ -204,14 +204,14 @@ def _cmd_score(args) -> int:
 def _cmd_reliability(args) -> int:
     from . import fixtures, reliability
 
-    source = args.infile if args.infile else fixtures.path(fixtures.PANEL)
+    source = fixtures.path(fixtures.PANEL) if args.infile is None else args.infile
     panel = reliability.read_panel_csv(source)
     breakdown = reliability.cronbach_alpha(panel, args.estimator)
     print(
         f"alpha {breakdown.alpha:.3f} (estimator {breakdown.estimator}, "
         f"k={breakdown.k}, m={breakdown.m})"
     )
-    if args.out:
+    if args.out is not None:
         if args.format == "json":
             Path(args.out).write_text(
                 json.dumps(reliability.breakdown_to_json(breakdown), indent=2) + "\n", encoding="utf-8"
@@ -233,7 +233,7 @@ def _cmd_train(args) -> int:
     data = dtree.read_dataset_csv(args.infile)
     tree = dtree.build_tree(data, criterion=_criterion(args.criterion), min_leaf=args.min_leaf)
     print(f"trained tree: {dtree.count_nodes(tree)} nodes, {dtree.count_leaves(tree)} leaves")
-    if args.out:
+    if args.out is not None:
         dtree.save_model(tree, data.attributes, data.label, args.out)
     return 0
 
@@ -246,7 +246,7 @@ def _cmd_rules(args) -> int:
     lines = ruleset.to_text(label.name)
     for line in lines:
         print(line)
-    if args.out:
+    if args.out is not None:
         if args.format == "text":
             Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
         else:
@@ -274,9 +274,9 @@ def _cmd_evaluate(args) -> int:
     for name, default in split.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-        elif args.model:
+        elif args.model is not None:
             raise ValueError(f"--{name.replace('_', '-')} applies only to evaluate without --model")
-    if args.model:
+    if args.model is not None:
         tree, attributes, label = dtree.load_model(args.model)
         rows = dtree.labelled_rows(args.infile, attributes, label)
         chunks = ((chunk, [row[-1] for row in chunk]) for chunk in dtree.chunks(rows))
@@ -289,7 +289,7 @@ def _cmd_evaluate(args) -> int:
         report = dtree.evaluate(tree, test)
         sizes = {"train": len(train.instances), "test": len(test.instances)}
     print(f"accuracy {report.accuracy:.3f} rmse {report.rmse:.4f} (test n={sizes['test']})")
-    if args.out:
+    if args.out is not None:
         doc = {
             "accuracy": report.accuracy,
             "rmse": report.rmse,
@@ -313,23 +313,21 @@ def _cmd_predict(args) -> int:
     table = dtree.NodeTable(tree)
     # The class and confidence cells of each leaf; csv writes a float as its repr.
     tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
-    head, n = [], 0
+    n = 0
     with _held(args.out) as out:
         if out is not None:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow([a.name for a in attributes] + ["predicted", "confidence"])
         for chunk in dtree.chunks(dtree.instance_rows(args.infile, attributes)):
             leaf_ids = table.route(chunk)
-            head += zip(chunk[: 10 - len(head)], leaf_ids)
+            for row, j in zip(chunk[: max(10 - n, 0)], leaf_ids):
+                leaf = table.leaves[j]
+                print(f"{row} -> {label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
             n += len(chunk)
             if out is not None:
                 writer.writerows(map(operator.add, chunk, map(tails.__getitem__, leaf_ids)))
-        # Printed only once every row has passed its checks.
-        for row, j in head:
-            leaf = table.leaves[j]
-            print(f"{row} -> {label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
-        if n > 10:
-            print(f"... {n - 10} more")
+    if n > 10:
+        print(f"... {n - 10} more")
     return 0
 
 
@@ -350,20 +348,20 @@ def _cmd_gen(args) -> int:
         payload = synthgen.generate_events(
             synthgen.GenParams(module_count=modules, weeks_total=weeks, seed=args.seed)
         )
-        if args.out:
+        if args.out is not None:
             Path(args.out).write_bytes(payload)
             print(f"wrote {args.out} ({len(payload)} bytes, {modules} modules)")
         else:
             sys.stdout.write(payload.decode("utf-8"))
         return 0
-    source = Path(args.thresholds) if args.thresholds else fixtures.path(fixtures.RULE_THRESHOLDS)
+    source = fixtures.path(fixtures.RULE_THRESHOLDS) if args.thresholds is None else Path(args.thresholds)
     try:
         thresholds = json.loads(source.read_text(encoding="utf-8"))
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{source}: {type(exc).__name__}: {exc}") from None
     n = 59 if args.n is None else args.n
     data = synthgen.generate_rule_labeled_dataset(thresholds, n, args.seed)
-    if not args.out:
+    if args.out is None:
         raise ValueError("gen --kind dataset requires --out")
     dtree.write_dataset_csv(data, args.out)
     classes = sorted({inst.label for inst in data.instances}, key=int)
@@ -391,7 +389,10 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return _COMMANDS[args.command](args)
+        # Every print waits in one spool and reaches stdout only if the
+        # command returns, so a failed run prints nothing on stdout.
+        with _held(sys.stdout) as stdout, redirect_stdout(stdout):
+            return _COMMANDS[args.command](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -649,17 +649,14 @@ def evaluate(tree: TreeNode, test: Dataset) -> EvalReport:
 
     RMSE compares each leaf's class distribution against the one-hot
     truth, averaged over all N*K prediction-class pairs, K being the full
-    label domain size. The rows go through the tree's :class:`NodeTable`;
-    a row it cannot route raises what :func:`predict` raises for it.
+    label domain size. The tree is checked against the test set's schema
+    once, up front, and raises SchemaMismatch where a node does not fit it;
+    the set's rows, already checked by :class:`Dataset`, then route unchecked.
     """
     rows = [inst.values for inst in test.instances]
     labels = [inst.label for inst in test.instances]
-    try:
-        return NodeTable(tree).evaluate([(rows, labels)], test.label.domain)
-    except (LookupError, TypeError):
-        for row in rows:
-            predict(tree, row)
-        raise
+    table = NodeTable(tree, test.attributes, test.label)
+    return table.evaluate([(rows, labels)], test.label.domain)
 
 
 def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -831,19 +828,18 @@ def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec
 
 
 def default_schema_path(csv_path) -> Path:
-    return Path(csv_path).with_suffix(".schema.json")
+    # As with_suffix, except that an empty name gives a path that fails to open, not a ValueError.
+    return Path(csv_path).parent / f"{Path(csv_path).stem}.schema.json"
 
 
-def write_dataset_csv(data: Dataset, csv_path, schema_path=None) -> None:
-    csv_path = Path(csv_path)
-    schema_path = default_schema_path(csv_path) if schema_path is None else Path(schema_path)
+def write_dataset_csv(data: Dataset, csv_path) -> None:
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([a.name for a in data.attributes] + [data.label.name])
         for inst in data.instances:
             row = [repr(v) if isinstance(v, float) else v for v in inst.values]
             writer.writerow(row + [inst.label])
-    schema_path.write_text(
+    default_schema_path(csv_path).write_text(
         json.dumps(schema_to_json(data.attributes, data.label), indent=2) + "\n",
         encoding="utf-8",
     )
@@ -879,10 +875,9 @@ def _schema_rows(csv_path, attributes, label=None):
             yield cells
 
 
-def read_dataset_csv(csv_path, schema_path=None) -> Dataset:
-    """Load a labeled dataset; the sidecar schema defaults to <name>.schema.json."""
-    schema_path = default_schema_path(csv_path) if schema_path is None else Path(schema_path)
-    attributes, label = _read_schema(schema_path)
+def read_dataset_csv(csv_path) -> Dataset:
+    """Load a labeled dataset and its sidecar schema, <name>.schema.json."""
+    attributes, label = _read_schema(default_schema_path(csv_path))
     rows = _schema_rows(csv_path, attributes, label)
     return Dataset(attributes, label, (Instance(tuple(cells[:-1]), cells[-1]) for cells in rows))
 

@@ -762,3 +762,76 @@ def test_evaluate_without_a_model_defaults_the_split_options(capsys, tmp_path):
             "--criterion", "gain", "--min-leaf", "7"]
     assert run(argv) == 0
     assert json.loads(out.read_bytes())["sizes"] == {"train": 30, "test": 29}
+
+
+def every_command(tmp_path):
+    """The argv, without --out, of one run of each subcommand that succeeds
+    and prints to stdout; their inputs are made in ``tmp_path``."""
+    events = tmp_path / "events.csv"
+    assert run(["gen", "--kind", "events", "--modules", "3", "--seed", "1", "--out", str(events)]) == 0
+    ds = make_dataset(tmp_path)
+    model = tmp_path / "model.json"
+    assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+    return {
+        "ingest": ["ingest", "--in", str(events)],
+        "score-events": ["score", "--in", str(events)],
+        "score-module-inputs": ["score", "--in", MODULE_SAMPLE],
+        "reliability": ["reliability", "--in", PANEL],
+        "train": ["train", "--in", str(ds)],
+        "rules": ["rules", "--in", str(model)],
+        "evaluate-split": ["evaluate", "--in", str(ds)],
+        "evaluate-model": ["evaluate", "--in", str(ds), "--model", str(model)],
+        "predict": ["predict", "--in", str(ds), "--model", str(model)],
+        "gen": ["gen", "--kind", "dataset", "--seed", "3"],
+    }
+
+
+def the_one_error_line(capsys) -> str:
+    """The run's ``error:`` line, once stdout is checked empty and stderr to end in that one line."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
+    return errors[0]
+
+
+COMMANDS = (
+    "ingest", "score-events", "score-module-inputs", "reliability", "train", "rules",
+    "evaluate-split", "evaluate-model", "predict", "gen",
+)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_out_that_cannot_be_opened_prints_nothing_and_exits_2(capsys, tmp_path, command):
+    argv = every_command(tmp_path)[command]
+    assert run(argv + ["--out", str(tmp_path / "x.out")]) == 0
+    assert capsys.readouterr().out
+    assert run(argv + ["--out", str(tmp_path / "missing" / "x")]) == 2
+    assert the_one_error_line(capsys).startswith("error: [Errno 2] No such file or directory")
+
+
+EMPTY_PATHS = (
+    *(f"out-{command}" for command in COMMANDS),
+    *(f"in-{command}" for command in COMMANDS if command != "gen"),
+    "model-evaluate-model", "model-predict", "roster-score-events", "thresholds-gen",
+)
+
+
+@pytest.mark.parametrize("case", EMPTY_PATHS)
+def test_an_empty_path_is_a_path_that_cannot_be_opened(capsys, tmp_path, monkeypatch, case):
+    option, _, command = case.partition("-")
+    argv = every_command(tmp_path)[command]
+    if option == "out":
+        argv += ["--out", ""]
+    else:
+        if f"--{option}" in argv:
+            argv[argv.index(f"--{option}") + 1] = ""
+        else:
+            argv += [f"--{option}", ""]
+        argv += ["--out", str(tmp_path / "x.out")]
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run(argv) == 2
+    the_one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == before

@@ -129,11 +129,28 @@ def test_compiling_against_a_schema_rejects_a_node_that_does_not_fit(tree):
         NodeTable(tree, ATTRIBUTES, LABEL)
 
 
-def test_evaluate_raises_what_predict_raises_for_a_row_it_cannot_route():
+def test_evaluate_rejects_up_front_a_split_that_does_not_fit_the_schema():
     tree = Split("kind", 1, branches={"a": LO})
     rows = [(0.0, "a", 0.0, "1"), (0.0, "b", 0.0, "1")]
     test = Dataset(ATTRIBUTES, LABEL, [Instance(row, "lo") for row in rows])
-    with pytest.raises(SchemaMismatch, match="no branch for 'b'"):
+    with pytest.raises(SchemaMismatch, match="split on 'kind' does not fit the schema"):
+        evaluate(tree, test)
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        # Routed unchecked, this split reads x's column: accuracy 1.0 where y gives 0.0.
+        (Split("y", 0, threshold=1.0, le=LO, gt=HI), "split on 'y' does not fit the schema"),
+        # Routed unchecked, this leaf's class would escape as a KeyError.
+        (Leaf("zz", {"zz": 1.0}, 1), "leaf 'zz' does not fit label 'cls'"),
+    ],
+    ids=["split-name-unlike-its-index", "leaf-class-outside-label"],
+)
+def test_evaluate_checks_the_tree_against_the_test_schema(tree, message):
+    rows = [(0.0, "a", 5.0, "1"), (2.0, "b", -5.0, "2")]
+    test = Dataset(ATTRIBUTES, LABEL, [Instance(rows[0], "lo"), Instance(rows[1], "hi")])
+    with pytest.raises(SchemaMismatch, match=message):
         evaluate(tree, test)
 
 
