@@ -4,8 +4,9 @@ Subcommands: ingest, score, reliability, train, rules, evaluate, predict,
 gen. Human-readable summaries go to stdout; machine artifacts are written
 to --out. stdout is held until the command returns, after --out is
 written, so a run that fails prints nothing on stdout. Exit codes: 0
-success, 1 validation or domain error, 2 I/O error. Identical arguments
-plus identical input files always produce byte-identical artifacts.
+success, 1 validation or domain error, 2 I/O error (an empty path option
+among them). Identical arguments plus identical input files always
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -369,6 +370,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+#: The path options, by their argparse dest; an empty one names no file.
+_PATH_OPTIONS = {
+    "infile": "--in", "out": "--out", "roster": "--roster", "model": "--model", "thresholds": "--thresholds"
+}
+
 _COMMANDS = {
     "ingest": _cmd_ingest,
     "score": _cmd_score,
@@ -389,6 +395,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        for dest, option in _PATH_OPTIONS.items():
+            if getattr(args, dest, None) == "":
+                raise OSError(f"{option}: empty path")
         # Every print waits in one spool and reaches stdout only if the
         # command returns, so a failed run prints nothing on stdout.
         with _held(sys.stdout) as stdout, redirect_stdout(stdout):

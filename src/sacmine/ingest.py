@@ -9,7 +9,8 @@ The CLI streams an events CSV straight into an event map, ``key -> present``
 :func:`clean_events`, :func:`aggregate` and :func:`write_events_csv` take
 the same steps over :class:`AttendanceEvent` lists. Both paths share one
 function per rule: row validation, the present-wins dedupe and the weekly
-tally.
+tally. Both hold each distinct id as one shared string, however many rows
+name it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ AGGREGATE_HEADER = MODULE_INPUT_HEADER + ("sac", "sac_strength")
 JSON_BATCH = 1024
 
 # An events log after cleaning: (module_code, semester, week, student_id) -> present.
+# Each distinct module code and student id is one string object, shared by its keys.
 EventMap = dict[tuple[str, int, int, str], bool]
 
 
@@ -105,8 +107,9 @@ def parse_events(stream) -> tuple[list[AttendanceEvent], CleaningReport]:
     """Parse an events CSV, given as any source :func:`tables.read` takes.
 
     The header must be exactly ``student_id,module_code,semester,week,status``.
-    Malformed rows (wrong arity, bad semester, week < 1, unknown status,
-    empty identifiers) are rejected with a counted reason.
+    Malformed rows (wrong arity, empty identifiers, bad semester, week < 1,
+    unknown status) are rejected with a counted reason, their first defect
+    in that order.
     """
     report = CleaningReport()
     with tables.read(stream) as table:
@@ -156,8 +159,9 @@ def read_event_map(
 
     Rows are validated as :func:`parse_events` does and deduplicated as
     :func:`clean_events` does, without an event object or list per row, so
-    memory grows with the distinct keys, not with the file. Returns the map
-    in first-seen order with the parse and the cleaning report. With
+    memory grows with the distinct keys, not with the file; the keys of one
+    student or module share its id string. Returns the map in first-seen
+    order with the parse and the cleaning report. With
     ``weeks_total``, a valid row for a later week raises WeekOutOfRange
     naming its line.
     """
@@ -181,6 +185,9 @@ def aggregate_event_map(
 
 _SEMESTERS = {"1": 1, "2": 2}
 _STATUSES = {"present": True, "absent": False}
+#: Distinct raw week cells that :func:`_valid_rows` remembers; a log has a few
+#: dozen, and a file of distinct junk weeks must not grow the cache with it.
+_WEEK_CELLS = 1024
 
 
 def _week_limit(weeks_total: int) -> int:
@@ -197,39 +204,56 @@ def _valid_rows(table: tables.Table, report: CleaningReport, weeks_total: float 
     """Each valid row of an events table as ``(key, present)``, in file order.
 
     Every other row is counted in ``report`` under its first defect; a valid
-    row for a week beyond ``weeks_total`` raises WeekOutOfRange.
+    row for a week beyond ``weeks_total`` raises WeekOutOfRange. Cells are
+    judged trimmed. Each distinct id is one string object, shared by its rows.
     """
+    ids: dict[str, str] = {}  # each id kept so far, to itself
+    weeks: dict[str, int] = {}  # raw week cell -> its week, 0 when it is none
     for row in table:
         report.rows_read += 1
         if len(row) != len(EVENTS_HEADER):
             report.reject("wrong field count")
             continue
         student_id, module_code, semester_s, week_s, status_s = row
+        student_id = student_id.strip()
         if not student_id:
             report.reject("empty student_id")
             continue
+        module_code = module_code.strip()
         if not module_code:
             report.reject("empty module_code")
             continue
-        semester = _SEMESTERS.get(semester_s)
+        semester = _SEMESTERS.get(semester_s.strip())
         if semester is None:
             report.reject("bad semester")
             continue
-        try:
-            week = int(week_s)
-        except ValueError:
-            week = 0
+        week = weeks.get(week_s)
+        if week is None:
+            week = _week(week_s)
+            if len(weeks) < _WEEK_CELLS:
+                weeks[week_s] = week
         if week < 1:
             report.reject("bad week")
             continue
-        present = _STATUSES.get(status_s.lower())
+        present = _STATUSES.get(status_s)
         if present is None:
-            report.reject("unknown status")
-            continue
+            present = _STATUSES.get(status_s.strip().lower())
+            if present is None:
+                report.reject("unknown status")
+                continue
         if week > weeks_total:
             raise _week_beyond(module_code, week, weeks_total)
         report.rows_kept += 1
-        yield (module_code, semester, week, student_id), present
+        module_code = ids.setdefault(module_code, module_code)
+        yield (module_code, semester, week, ids.setdefault(student_id, student_id)), present
+
+
+def _week(cell: str) -> int:
+    """The week a week cell names once trimmed, or 0 when it names no integer."""
+    try:
+        return int(cell.strip())
+    except ValueError:
+        return 0
 
 
 def _dedupe(pairs, present=bool) -> tuple[dict, CleaningReport]:
@@ -305,7 +329,7 @@ def write_events_csv(events: list[AttendanceEvent], fh) -> None:
 
 def write_event_map_csv(winners: EventMap, fh) -> None:
     """Write an event map as cleaned events, sorted by key as :func:`clean_events` sorts."""
-    _write_events(sorted(winners.items()), fh)
+    _write_events(((key, winners[key]) for key in sorted(winners)), fh)
 
 
 def _write_events(pairs, fh) -> None:

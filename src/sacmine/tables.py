@@ -1,9 +1,11 @@
 """The one CSV reading layer that every sacmine input table goes through.
 
 Tables are UTF-8 (a leading byte-order mark is dropped) in the ``csv``
-default dialect, so fields may be quoted. Header and cells are trimmed and
-blank rows skipped. Readers keep only their own format rule and raise
-plain domain errors; this layer adds the ``file:line`` of the row.
+default dialect, so fields may be quoted. The header is trimmed and blank
+rows skipped. :meth:`Table.rows` trims the cells it yields; iterating a
+table yields each row's raw ``csv`` cells, for a reader that trims only the
+cells it checks. Readers keep only their own format rule and raise plain
+domain errors; this layer adds the ``file:line`` of the row.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class Table:
             raise MissingHeader(f"expected header {','.join(header)}, got {','.join(self.header)}")
 
     def __iter__(self):
-        """Trimmed cells of every non-blank row, whatever its width."""
-        return ([cell.strip() for cell in row] for row in self._reader if row)
+        """The raw, untrimmed cells of every non-blank row, whatever its width."""
+        return filter(None, self._reader)
 
     def rows(self, names, numeric: dict):
         """Each row's trimmed cells of the columns ``names``, found by header

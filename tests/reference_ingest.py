@@ -1,16 +1,67 @@
-"""Reference event cleaning for the dedupe equivalence tests.
+"""Reference event validation and cleaning for the equivalence tests.
 
-Groups every event into a list per student-module-week, then picks each
-group's winner: its first row when all its rows agree, otherwise its first
-present row. It holds every row until the end, but it states the
-present-beats-absent rule directly, and the library's single winner map
-must reproduce its output and its report exactly. Only the event and
-report types come from the library.
+``valid_events`` reads an events CSV text with the ``csv`` module, trims
+every cell, and applies the row rules the README documents, in their
+documented order; it shares no code with the library's row loop.
+
+``clean_events`` groups every event into a list per student-module-week,
+then picks each group's winner: its first row when all its rows agree,
+otherwise its first present row. It holds every row until the end, but it
+states the present-beats-absent rule directly, and the library's single
+winner map must reproduce its output and its report exactly. Only the
+event and report types come from the library.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+
 from sacmine.ingest import AttendanceEvent, CleaningReport
+
+STATUSES = {"present": True, "absent": False}
+
+
+def defect(cells: list[str]) -> str | None:
+    """The first broken rule of a trimmed events row, or None for a valid one."""
+    if len(cells) != 5:
+        return "wrong field count"
+    student_id, module_code, semester, week, status = cells
+    if student_id == "":
+        return "empty student_id"
+    if module_code == "":
+        return "empty module_code"
+    if semester not in ("1", "2"):
+        return "bad semester"
+    try:
+        if int(week) < 1:
+            return "bad week"
+    except ValueError:
+        return "bad week"
+    if status.lower() not in STATUSES:
+        return "unknown status"
+    return None
+
+
+def valid_events(text: str) -> tuple[list[AttendanceEvent], CleaningReport]:
+    """The valid rows of an events CSV text, after its header, in file order."""
+    report = CleaningReport()
+    events = []
+    for row in list(csv.reader(io.StringIO(text, newline="")))[1:]:
+        if not row:
+            continue
+        report.rows_read += 1
+        cells = [cell.strip() for cell in row]
+        reason = defect(cells)
+        if reason is not None:
+            report.reject(reason)
+            continue
+        student_id, module_code, semester, week, status = cells
+        present = STATUSES[status.lower()]
+        events.append(AttendanceEvent(student_id, module_code, int(semester), int(week), present))
+    report.rows_kept = len(events)
+    report.check()
+    return events, report
 
 
 def clean_events(events: list[AttendanceEvent]) -> tuple[list[AttendanceEvent], CleaningReport]:

@@ -835,3 +835,12 @@ def test_an_empty_path_is_a_path_that_cannot_be_opened(capsys, tmp_path, monkeyp
     assert run(argv) == 2
     the_one_error_line(capsys)
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("case", EMPTY_PATHS)
+def test_an_empty_path_is_named_by_its_option(capsys, tmp_path, case):
+    option, _, command = case.partition("-")
+    argv = every_command(tmp_path)[command] + [f"--{option}", ""]  # the last value given wins
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert the_one_error_line(capsys) == f"error: --{option}: empty path"

@@ -63,6 +63,12 @@ class TestParse:
         assert report.rows_rejected == 5
         assert report.rows_read == report.rows_kept + report.duplicates_dropped + report.rows_rejected
 
+    def test_weeks_past_the_week_cache_are_read_the_same(self):
+        cells = [f"{'0' * i}3" for i in range(1_100)] + ["x", " 4"]
+        events, report = parse_events(HEADER + "".join(f"s1,M1,1,{cell},present\n" for cell in cells))
+        assert [event.week_index for event in events] == [3] * 1_100 + [4]
+        assert report.rejection_reasons == {"bad week": 1}
+
     def test_accepts_bytes_and_streams(self):
         blob = (HEADER + "s1,M1,1,1,present\n").encode()
         for source in (blob, io.BytesIO(blob), io.StringIO(blob.decode())):
@@ -130,6 +136,41 @@ class TestEventMap:
         assert winners == {("M1", 1, 1, "s1"): True}
         assert (parsed.rows_kept, cleaning.duplicates_dropped) == (50_000, 49_999)
         assert peak < 2**20
+
+    @staticmethod
+    def write_log(path, students=200, modules=10, weeks=10):
+        """An events CSV with one row per key, each id on many rows; returns its path."""
+        rows = [
+            f"student-{s:04d},MODULE-{m:03d},1,{w},{'absent' if (s + w) % 3 == 0 else 'present'}"
+            for m in range(modules)
+            for w in range(1, weeks + 1)
+            for s in range(students)
+        ]
+        path.write_text(HEADER + "\n".join(rows) + "\n")
+        return path
+
+    def test_each_distinct_id_is_one_string_object(self, tmp_path):
+        events = self.write_log(tmp_path / "events.csv", students=30, modules=4, weeks=3)
+        winners = read_event_map(events)[0]
+        ids = [key[i] for key in winners for i in (0, 3)]
+        assert len(set(ids)) == 34
+        assert len({id(s) for s in ids}) == len(set(ids))
+        parsed = parse_events(events)[0]
+        ids = [s for event in parsed for s in (event.student_id, event.module_code)]
+        assert len({id(s) for s in ids}) == len(set(ids)) == 34
+
+    def test_memory_per_distinct_key_is_the_key_and_its_map_entry(self, tmp_path):
+        # 20k keys over 200 students and 10 modules: about 105 bytes a key
+        # when the ids are shared, about 225 when each row holds its own copies.
+        events = self.write_log(tmp_path / "events.csv")
+        tracemalloc.start()
+        try:
+            winners = read_event_map(events)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(winners) == 20_000
+        assert peak / len(winners) < 150
 
 
 class TestAggregate:
