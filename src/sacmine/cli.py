@@ -2,11 +2,12 @@
 
 Subcommands: ingest, score, reliability, train, rules, evaluate, predict,
 gen. Human-readable summaries go to stdout; machine artifacts are written
-to --out. stdout is held until the command returns, after --out is
-written, so a run that fails prints nothing on stdout. Exit codes: 0
-success, 1 validation or domain error, 2 I/O error (an empty path option
-among them). Identical arguments plus identical input files always
-produce byte-identical artifacts.
+to --out. One rule holds for every subcommand: --out and stdout are held
+in temporary files and written only when the command returns, --out
+before stdout, so a run that fails prints nothing on stdout and leaves an
+existing --out as it was. Exit codes: 0 success, 1 validation or domain
+error, 2 I/O error (an empty path option among them). Identical arguments
+plus identical input files always produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -144,13 +145,12 @@ def _read_events(path: str, weeks_total: int | None, file):
     return winners
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args, out) -> int:
     from . import ingest
 
     winners = _read_events(args.infile, None, sys.stdout)
-    if args.out is not None:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            ingest.write_event_map_csv(winners, fh)
+    if out is not None:
+        ingest.write_event_map_csv(winners, out)
     return 0
 
 
@@ -188,21 +188,19 @@ def _summarised(rows):
         yield row
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args, out) -> int:
     from . import ingest
 
-    # Module inputs are scored as they are read, so --out is held too.
     write = ingest.write_aggregate_csv if args.format == "csv" else ingest.write_aggregate_json
-    with _held(args.out) as out:
-        rows = _summarised(_score_rows_from_input(args))
-        if out is None:
-            collections.deque(rows, maxlen=0)
-        else:
-            write(rows, out)
+    rows = _summarised(_score_rows_from_input(args))
+    if out is None:
+        collections.deque(rows, maxlen=0)
+    else:
+        write(rows, out)
     return 0
 
 
-def _cmd_reliability(args) -> int:
+def _cmd_reliability(args, out) -> int:
     from . import fixtures, reliability
 
     source = fixtures.path(fixtures.PANEL) if args.infile is None else args.infile
@@ -212,34 +210,30 @@ def _cmd_reliability(args) -> int:
         f"alpha {breakdown.alpha:.3f} (estimator {breakdown.estimator}, "
         f"k={breakdown.k}, m={breakdown.m})"
     )
-    if args.out is not None:
-        if args.format == "json":
-            Path(args.out).write_text(
-                json.dumps(reliability.breakdown_to_json(breakdown), indent=2) + "\n", encoding="utf-8"
-            )
-        else:
-            lines = [
-                f"alpha {breakdown.alpha:.3f}",
-                f"estimator {breakdown.estimator}",
-                f"sum_item_variance {breakdown.sum_item_variance!r}",
-                f"total_score_variance {breakdown.total_score_variance!r}",
-            ]
-            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if out is not None and args.format == "json":
+        out.write(json.dumps(reliability.breakdown_to_json(breakdown), indent=2) + "\n")
+    elif out is not None:
+        out.write(
+            f"alpha {breakdown.alpha:.3f}\n"
+            f"estimator {breakdown.estimator}\n"
+            f"sum_item_variance {breakdown.sum_item_variance!r}\n"
+            f"total_score_variance {breakdown.total_score_variance!r}\n"
+        )
     return 0
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, out) -> int:
     from . import dtree
 
     data = dtree.read_dataset_csv(args.infile)
     tree = dtree.build_tree(data, criterion=_criterion(args.criterion), min_leaf=args.min_leaf)
     print(f"trained tree: {dtree.count_nodes(tree)} nodes, {dtree.count_leaves(tree)} leaves")
-    if args.out is not None:
-        dtree.save_model(tree, data.attributes, data.label, args.out)
+    if out is not None:
+        out.write(dtree.model_text(tree, data.attributes, data.label))
     return 0
 
 
-def _cmd_rules(args) -> int:
+def _cmd_rules(args, out) -> int:
     from . import dtree
 
     tree, _, label = dtree.load_model(args.infile)
@@ -247,27 +241,26 @@ def _cmd_rules(args) -> int:
     lines = ruleset.to_text(label.name)
     for line in lines:
         print(line)
-    if args.out is not None:
-        if args.format == "text":
-            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        else:
-            doc = [
-                {
-                    "conditions": [
-                        {"attribute": c.attribute, "op": c.op, "value": c.value}
-                        for c in rule.conditions
-                    ],
-                    "class": rule.label,
-                    "coverage": rule.coverage,
-                    "confidence": rule.confidence,
-                }
-                for rule in ruleset.rules
-            ]
-            Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    if out is not None and args.format == "text":
+        out.write("\n".join(lines) + "\n")
+    elif out is not None:
+        doc = [
+            {
+                "conditions": [
+                    {"attribute": c.attribute, "op": c.op, "value": c.value}
+                    for c in rule.conditions
+                ],
+                "class": rule.label,
+                "coverage": rule.coverage,
+                "confidence": rule.confidence,
+            }
+            for rule in ruleset.rules
+        ]
+        out.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args, out) -> int:
     from . import dtree
 
     # Only a run without --model splits, so only it takes these options.
@@ -290,7 +283,7 @@ def _cmd_evaluate(args) -> int:
         report = dtree.evaluate(tree, test)
         sizes = {"train": len(train.instances), "test": len(test.instances)}
     print(f"accuracy {report.accuracy:.3f} rmse {report.rmse:.4f} (test n={sizes['test']})")
-    if args.out is not None:
+    if out is not None and args.format == "json":
         doc = {
             "accuracy": report.accuracy,
             "rmse": report.rmse,
@@ -298,16 +291,13 @@ def _cmd_evaluate(args) -> int:
             "confusion": [list(row) for row in report.confusion],
             "sizes": sizes,
         }
-        if args.format == "json":
-            Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        else:
-            Path(args.out).write_text(
-                f"accuracy {report.accuracy!r}\nrmse {report.rmse!r}\n", encoding="utf-8"
-            )
+        out.write(json.dumps(doc, indent=2) + "\n")
+    elif out is not None:
+        out.write(f"accuracy {report.accuracy!r}\nrmse {report.rmse!r}\n")
     return 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args, out) -> int:
     from . import dtree
 
     tree, attributes, label = dtree.load_model(args.model)
@@ -315,18 +305,17 @@ def _cmd_predict(args) -> int:
     # The class and confidence cells of each leaf; csv writes a float as its repr.
     tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
     n = 0
-    with _held(args.out) as out:
+    if out is not None:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([a.name for a in attributes] + ["predicted", "confidence"])
+    for chunk in dtree.chunks(dtree.instance_rows(args.infile, attributes)):
+        leaf_ids = table.route(chunk)
+        for row, j in zip(chunk[: max(10 - n, 0)], leaf_ids):
+            leaf = table.leaves[j]
+            print(f"{row} -> {label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
+        n += len(chunk)
         if out is not None:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow([a.name for a in attributes] + ["predicted", "confidence"])
-        for chunk in dtree.chunks(dtree.instance_rows(args.infile, attributes)):
-            leaf_ids = table.route(chunk)
-            for row, j in zip(chunk[: max(10 - n, 0)], leaf_ids):
-                leaf = table.leaves[j]
-                print(f"{row} -> {label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
-            n += len(chunk)
-            if out is not None:
-                writer.writerows(map(operator.add, chunk, map(tails.__getitem__, leaf_ids)))
+            writer.writerows(map(operator.add, chunk, map(tails.__getitem__, leaf_ids)))
     if n > 10:
         print(f"... {n - 10} more")
     return 0
@@ -336,24 +325,24 @@ def _cmd_predict(args) -> int:
 _GEN_OPTIONS = {"events": ("weeks", "modules"), "dataset": ("n", "thresholds")}
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, out) -> int:
     from . import dtree, fixtures, synthgen
 
     other = "dataset" if args.kind == "events" else "events"
     for name in _GEN_OPTIONS[other]:
         if getattr(args, name) is not None:
             raise ValueError(f"--{name} applies only to gen --kind {other}")
+    if args.kind == "dataset" and out is None:
+        raise ValueError("gen --kind dataset requires --out")
     if args.kind == "events":
         modules = 12 if args.modules is None else args.modules
         weeks = 11 if args.weeks is None else args.weeks
         payload = synthgen.generate_events(
             synthgen.GenParams(module_count=modules, weeks_total=weeks, seed=args.seed)
         )
-        if args.out is not None:
-            Path(args.out).write_bytes(payload)
+        (sys.stdout if out is None else out).write(payload.decode("utf-8"))
+        if out is not None:
             print(f"wrote {args.out} ({len(payload)} bytes, {modules} modules)")
-        else:
-            sys.stdout.write(payload.decode("utf-8"))
         return 0
     source = fixtures.path(fixtures.RULE_THRESHOLDS) if args.thresholds is None else Path(args.thresholds)
     try:
@@ -362,9 +351,7 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"{source}: {type(exc).__name__}: {exc}") from None
     n = 59 if args.n is None else args.n
     data = synthgen.generate_rule_labeled_dataset(thresholds, n, args.seed)
-    if args.out is None:
-        raise ValueError("gen --kind dataset requires --out")
-    dtree.write_dataset_csv(data, args.out)
+    dtree.write_dataset(data, out, args.out)  # the sidecar schema is written now, by path
     classes = sorted({inst.label for inst in data.instances}, key=int)
     print(f"wrote {args.out} ({n} instances, classes {','.join(classes)})")
     return 0
@@ -398,10 +385,12 @@ def run(argv) -> int:
         for dest, option in _PATH_OPTIONS.items():
             if getattr(args, dest, None) == "":
                 raise OSError(f"{option}: empty path")
-        # Every print waits in one spool and reaches stdout only if the
-        # command returns, so a failed run prints nothing on stdout.
-        with _held(sys.stdout) as stdout, redirect_stdout(stdout):
-            return _COMMANDS[args.command](args)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed: expected a non-negative integer, got {args.seed}")
+        # stdout and --out wait in spools that are written only if the command
+        # returns, --out (the inner hold) first; a failed run writes neither.
+        with _held(sys.stdout) as stdout, redirect_stdout(stdout), _held(args.out) as out:
+            return _COMMANDS[args.command](args, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

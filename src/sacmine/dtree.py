@@ -787,14 +787,19 @@ MODEL_FORMAT = "sacmine-tree"
 MODEL_VERSION = 1
 
 
-def save_model(tree: TreeNode, attributes, label: AttributeSpec, path) -> None:
+def model_text(tree: TreeNode, attributes, label: AttributeSpec) -> str:
+    """The text of the model file of ``tree`` and its schema."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "schema": schema_to_json(attributes, label),
         "tree": tree_to_json(tree),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def save_model(tree: TreeNode, attributes, label: AttributeSpec, path) -> None:
+    Path(path).write_text(model_text(tree, attributes, label), encoding="utf-8")
 
 
 def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec]:
@@ -832,17 +837,22 @@ def default_schema_path(csv_path) -> Path:
     return Path(csv_path).parent / f"{Path(csv_path).stem}.schema.json"
 
 
-def write_dataset_csv(data: Dataset, csv_path) -> None:
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([a.name for a in data.attributes] + [data.label.name])
-        for inst in data.instances:
-            row = [repr(v) if isinstance(v, float) else v for v in inst.values]
-            writer.writerow(row + [inst.label])
+def write_dataset(data: Dataset, fh, csv_path) -> None:
+    """Write the sidecar schema of ``csv_path``, then ``data``'s rows to the text file ``fh``."""
     default_schema_path(csv_path).write_text(
         json.dumps(schema_to_json(data.attributes, data.label), indent=2) + "\n",
         encoding="utf-8",
     )
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow([a.name for a in data.attributes] + [data.label.name])
+    for inst in data.instances:
+        row = [repr(v) if isinstance(v, float) else v for v in inst.values]
+        writer.writerow(row + [inst.label])
+
+
+def write_dataset_csv(data: Dataset, csv_path) -> None:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        write_dataset(data, fh, csv_path)
 
 
 def _read_schema(schema_path: Path) -> tuple[tuple[AttributeSpec, ...], AttributeSpec]:

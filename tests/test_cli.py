@@ -844,3 +844,85 @@ def test_an_empty_path_is_named_by_its_option(capsys, tmp_path, case):
     capsys.readouterr()
     assert run(argv) == 2
     assert the_one_error_line(capsys) == f"error: --{option}: empty path"
+
+
+def every_command_failing_late(tmp_path):
+    """For each entry of :func:`every_command`, the argv, without --out, of a
+    run that reads its whole input and then exits 1, and a part of its error
+    line: a bad last row for the readers (past the first 1,024-row chunk on
+    the apply path), a bad last leaf for rules, a tree too deep for train and
+    thresholds that are not numbers for gen."""
+    events = tmp_path / "events.csv"
+    assert run(["gen", "--kind", "events", "--modules", "3", "--seed", "1", "--out", str(events)]) == 0
+    with events.open("ab") as fh:
+        fh.write(b"s1,M1,1,1,pres\xffent\n")
+    modules = tmp_path / "modules.csv"
+    modules.write_text(Path(MODULE_SAMPLE).read_text() + "M1,1,11,12,50.0\n")
+    panel = tmp_path / "panel.csv"
+    panel.write_text(Path(PANEL).read_text() + "Z,0.1,0.2,0.3,0.4,1.5\n")
+    ds = make_dataset(tmp_path, n=1100)
+    model = tmp_path / "model.json"
+    assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+    with ds.open("a") as fh:
+        fh.write("inf,10,2,10\n")
+    doc = json.loads(model.read_text())
+    node = doc["tree"]
+    while node["type"] == "split":
+        node = node["gt"] if "gt" in node else list(node["branches"].values())[-1]
+    node["distribution"] = {node["class"]: 7.5}
+    bad_model = tmp_path / "bad_model.json"
+    bad_model.write_text(json.dumps(doc))
+    alt, _ = write_alternating_dataset(tmp_path, 600)
+    thresholds = tmp_path / "t.json"
+    thresholds.write_text('[60, "a"]')
+    return {
+        "ingest": (["ingest", "--in", str(events)], "events.csv:"),
+        "score-events": (["score", "--in", str(events)], "events.csv:"),
+        "score-module-inputs": (["score", "--in", str(modules)], "modules.csv:5: "),
+        "reliability": (["reliability", "--in", str(panel)], "panel.csv:12: Z: "),
+        "train": (["train", "--in", str(alt), "--criterion", "gain", "--min-leaf", "1"], "TreeTooDeep"),
+        "rules": (["rules", "--in", str(bad_model)], "does not fit label"),
+        "evaluate-split": (["evaluate", "--in", str(ds)], "ds.csv:1102: "),
+        "evaluate-model": (["evaluate", "--in", str(ds), "--model", str(model)], "ds.csv:1102: "),
+        "predict": (["predict", "--in", str(ds), "--model", str(model)], "ds.csv:1102: "),
+        "gen": (["gen", "--kind", "dataset", "--thresholds", str(thresholds)], "InvalidThresholds"),
+    }
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_run_that_fails_after_reading_prints_nothing_and_leaves_its_out(capsys, tmp_path, command):
+    argv, fault = every_command_failing_late(tmp_path)[command]
+    out = tmp_path / "earlier.out"
+    out.write_bytes(b"an artifact of an earlier run\n")
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 1
+    assert fault in the_one_error_line(capsys)
+    assert out.read_bytes() == b"an artifact of an earlier run\n"
+
+
+def test_gen_that_cannot_write_its_sidecar_leaves_an_existing_out(capsys, tmp_path):
+    out = tmp_path / "ds.csv"
+    out.write_bytes(b"an artifact of an earlier run\n")
+    (tmp_path / "ds.schema.json").mkdir()
+    assert run(["gen", "--kind", "dataset", "--out", str(out)]) == 2
+    assert "ds.schema.json" in the_one_error_line(capsys)
+    assert out.read_bytes() == b"an artifact of an earlier run\n"
+
+
+def test_gen_dataset_asks_for_out_before_it_reads_or_generates(capsys, tmp_path):
+    assert run(["gen", "--kind", "dataset", "--thresholds", str(tmp_path / "missing.json")]) == 1
+    assert the_one_error_line(capsys) == "error: ValueError: gen --kind dataset requires --out"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evaluate", "--in", "{ds}"], ["gen", "--kind", "events"], ["gen", "--kind", "dataset", "--out", "{ds}"]],
+    ids=["evaluate", "gen-events", "gen-dataset"],
+)
+def test_a_negative_seed_is_named_by_its_option(capsys, tmp_path, argv):
+    ds = make_dataset(tmp_path)
+    before = ds.read_bytes()
+    capsys.readouterr()
+    assert run([arg.replace("{ds}", str(ds)) for arg in argv] + ["--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: ValueError: --seed: expected a non-negative integer, got -1\n")
+    assert ds.read_bytes() == before
