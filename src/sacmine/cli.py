@@ -2,12 +2,13 @@
 
 Subcommands: ingest, score, reliability, train, rules, evaluate, predict,
 gen. Human-readable summaries go to stdout; machine artifacts are written
-to --out. One rule holds for every subcommand: --out and stdout are held
-in temporary files and written only when the command returns, --out
-before stdout, so a run that fails prints nothing on stdout and leaves an
-existing --out as it was. Exit codes: 0 success, 1 validation or domain
-error, 2 I/O error (an empty path option among them). Identical arguments
-plus identical input files always produce byte-identical artifacts.
+to --out. One rule holds for every subcommand: --out (with the sidecar
+schema of gen --kind dataset) and stdout are held in temporary files and
+written only when the command returns, --out before stdout, so a run that
+fails prints nothing on stdout and leaves an existing --out as it was.
+Exit codes: 0 success, 1 validation or domain error, 2 I/O error (an empty
+path option among them). Identical arguments plus identical input files
+always produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -17,14 +18,16 @@ import collections
 import csv
 import json
 import operator
+import os
 import shutil
+import stat
 import sys
 import tempfile
-from contextlib import contextmanager, nullcontext, redirect_stdout
+from contextlib import ExitStack, contextmanager, redirect_stdout
 from pathlib import Path
 
 from . import __version__
-from .errors import Error
+from .errors import Error, InvalidParams
 
 # Each subcommand imports the modules it uses, so startup loads none it does
 # not need. The --estimator names are reliability.ESTIMATORS, POPULATION first.
@@ -101,23 +104,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _held(target):
-    """A file to write the text for ``target``, an ``--out`` path or a stream
-    such as ``sys.stdout``, or None without one. The text waits in a
-    write-only temporary file (one that can also read resets its decoder on
-    every write) and reaches ``target`` only if the block ends without an
-    error; a path is opened for writing only then."""
-    if target is None:
-        yield None
-        return
-    with tempfile.TemporaryFile("w", encoding="utf-8", newline="") as spool:
-        yield spool
-        spool.flush()
-        is_path = isinstance(target, str)
-        out = open(target, "w", newline="", encoding="utf-8") if is_path else nullcontext(target)
-        with out as fh, open(spool.fileno(), encoding="utf-8", newline="", closefd=False) as text:
-            text.seek(0)
-            shutil.copyfileobj(text, fh)
+def _held(*targets):
+    """A file to write the text for each of ``targets``, an ``--out`` path or
+    a stream such as ``sys.stdout``, or None for one that is None. The text
+    waits in a write-only temporary file (one that can also read resets its
+    decoder on every write) and reaches its target only if the block ends
+    without an error. Then every path is opened before any target is written:
+    in append mode, so that no open truncates a file while a later one may
+    still fail, and if one fails, each path the run created is removed. A run
+    that fails thus writes, truncates and creates none of its targets. The
+    targets are written in the order given."""
+    with ExitStack() as stack:
+        spools = [
+            None if target is None
+            else stack.enter_context(tempfile.TemporaryFile("w", encoding="utf-8", newline=""))
+            for target in targets
+        ]
+        yield spools
+        sinks, created = [], []
+        try:
+            for target in targets:
+                if not isinstance(target, str):
+                    sinks.append(target)
+                    continue
+                new = not os.path.lexists(target)
+                sinks.append(stack.enter_context(open(target, "a", newline="", encoding="utf-8")))
+                if new:
+                    created.append(target)
+        except OSError:
+            for name in created:
+                os.remove(name)
+            raise
+        for target, sink, spool in zip(targets, sinks, spools):
+            if spool is None:
+                continue
+            if isinstance(target, str) and stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
+                sink.truncate(0)  # as opening with "w" does; that leaves a device or pipe as it is
+            spool.flush()
+            with open(spool.fileno(), encoding="utf-8", newline="", closefd=False) as text:
+                text.seek(0)
+                shutil.copyfileobj(text, sink)
 
 
 def _criterion(name: str) -> str:
@@ -325,7 +351,7 @@ def _cmd_predict(args, out) -> int:
 _GEN_OPTIONS = {"events": ("weeks", "modules"), "dataset": ("n", "thresholds")}
 
 
-def _cmd_gen(args, out) -> int:
+def _cmd_gen(args, out, schema=None) -> int:
     from . import dtree, fixtures, synthgen
 
     other = "dataset" if args.kind == "events" else "events"
@@ -337,12 +363,10 @@ def _cmd_gen(args, out) -> int:
     if args.kind == "events":
         modules = 12 if args.modules is None else args.modules
         weeks = 11 if args.weeks is None else args.weeks
-        payload = synthgen.generate_events(
-            synthgen.GenParams(module_count=modules, weeks_total=weeks, seed=args.seed)
-        )
-        (sys.stdout if out is None else out).write(payload.decode("utf-8"))
+        params = synthgen.GenParams(module_count=modules, weeks_total=weeks, seed=args.seed)
+        size = synthgen.write_events(params, sys.stdout if out is None else out)
         if out is not None:
-            print(f"wrote {args.out} ({len(payload)} bytes, {modules} modules)")
+            print(f"wrote {args.out} ({size} bytes, {modules} modules)")
         return 0
     source = fixtures.path(fixtures.RULE_THRESHOLDS) if args.thresholds is None else Path(args.thresholds)
     try:
@@ -350,8 +374,11 @@ def _cmd_gen(args, out) -> int:
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{source}: {type(exc).__name__}: {exc}") from None
     n = 59 if args.n is None else args.n
-    data = synthgen.generate_rule_labeled_dataset(thresholds, n, args.seed)
-    dtree.write_dataset(data, out, args.out)  # the sidecar schema is written now, by path
+    try:
+        data = synthgen.generate_rule_labeled_dataset(thresholds, n, args.seed)
+    except InvalidParams as exc:  # the row count is its only parameter error
+        raise InvalidParams(f"--n: {exc}") from None
+    dtree.write_dataset(data, out, schema)
     classes = sorted({inst.label for inst in data.instances}, key=int)
     print(f"wrote {args.out} ({n} instances, classes {','.join(classes)})")
     return 0
@@ -361,6 +388,17 @@ def _cmd_gen(args, out) -> int:
 _PATH_OPTIONS = {
     "infile": "--in", "out": "--out", "roster": "--roster", "model": "--model", "thresholds": "--thresholds"
 }
+
+
+def _paths(args) -> list:
+    """The paths a run writes: --out (None without one), then the sidecar
+    schema of the dataset that gen --kind dataset writes there."""
+    if args.command == "gen" and args.kind == "dataset" and args.out is not None:
+        from . import dtree
+
+        return [args.out, str(dtree.default_schema_path(args.out))]
+    return [args.out]
+
 
 _COMMANDS = {
     "ingest": _cmd_ingest,
@@ -387,10 +425,10 @@ def run(argv) -> int:
                 raise OSError(f"{option}: empty path")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed: expected a non-negative integer, got {args.seed}")
-        # stdout and --out wait in spools that are written only if the command
-        # returns, --out (the inner hold) first; a failed run writes neither.
-        with _held(sys.stdout) as stdout, redirect_stdout(stdout), _held(args.out) as out:
-            return _COMMANDS[args.command](args, out)
+        # stdout and the paths wait in spools that are written only if the
+        # command returns, the paths first; a failed run writes none of them.
+        with _held(*_paths(args), sys.stdout) as (*outs, stdout), redirect_stdout(stdout):
+            return _COMMANDS[args.command](args, *outs)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

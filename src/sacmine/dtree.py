@@ -24,6 +24,7 @@ from operator import add
 from pathlib import Path
 
 from . import tables
+from ._pcg import Generator
 from .errors import (
     BadThreshold,
     EmptyCounts,
@@ -692,16 +693,14 @@ def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Data
         alloc[c] += 1
         extra -= 1
 
-    import numpy as np  # here, not at the top: only gen and the split need numpy
-
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(seed)
     train_idx: set[int] = set()
     for c in data.label.domain:
         idx = by_class[c]
         if not idx:
             continue
         perm = rng.permutation(len(idx))
-        train_idx.update(idx[int(p)] for p in perm[: alloc[c]])
+        train_idx.update(idx[p] for p in perm[: alloc[c]])
 
     train = [inst for i, inst in enumerate(data.instances) if i in train_idx]
     test = [inst for i, inst in enumerate(data.instances) if i not in train_idx]
@@ -837,12 +836,9 @@ def default_schema_path(csv_path) -> Path:
     return Path(csv_path).parent / f"{Path(csv_path).stem}.schema.json"
 
 
-def write_dataset(data: Dataset, fh, csv_path) -> None:
-    """Write the sidecar schema of ``csv_path``, then ``data``'s rows to the text file ``fh``."""
-    default_schema_path(csv_path).write_text(
-        json.dumps(schema_to_json(data.attributes, data.label), indent=2) + "\n",
-        encoding="utf-8",
-    )
+def write_dataset(data: Dataset, fh, schema_fh) -> None:
+    """Write ``data``'s rows to the text file ``fh`` and its schema to ``schema_fh``."""
+    schema_fh.write(json.dumps(schema_to_json(data.attributes, data.label), indent=2) + "\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([a.name for a in data.attributes] + [data.label.name])
     for inst in data.instances:
@@ -851,8 +847,11 @@ def write_dataset(data: Dataset, fh, csv_path) -> None:
 
 
 def write_dataset_csv(data: Dataset, csv_path) -> None:
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        write_dataset(data, fh, csv_path)
+    """Write ``data`` to ``csv_path`` and its sidecar schema beside it."""
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh, open(
+        default_schema_path(csv_path), "w", encoding="utf-8"
+    ) as schema_fh:
+        write_dataset(data, fh, schema_fh)
 
 
 def _read_schema(schema_path: Path) -> tuple[tuple[AttributeSpec, ...], AttributeSpec]:

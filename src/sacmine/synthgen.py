@@ -1,18 +1,20 @@
 """Seeded synthetic fixtures: attendance event logs and rule-labeled datasets.
 
-All randomness comes from numpy's PCG64 bit generator seeded from the
-parameters, so a given parameter set always produces byte-identical
-output, on any platform. PCG64 is the frozen choice; changing it would
-invalidate every golden fixture.
+All randomness comes from the PCG64 stream pinned in :mod:`sacmine._pcg`,
+seeded from the parameters, so a given parameter set always produces
+byte-identical output, on any platform and whatever numpy is installed,
+or none. The stream is that of numpy's ``Generator(PCG64(seed))``, which
+made the fixtures before it was pinned; changing it would invalidate every
+golden fixture.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import numbers
 from dataclasses import dataclass
 
+from ._pcg import Generator
 from .dtree import AttributeSpec, Dataset, Instance
 from .errors import InvalidParams, InvalidThresholds
 from .ingest import EVENTS_HEADER
@@ -52,34 +54,39 @@ class GenParams:
                 raise InvalidParams(f"{name} must be within [0, 1], got {(plo, phi)}")
 
 
-def generate_events(params: GenParams) -> bytes:
-    """Emit a synthetic events CSV as UTF-8 bytes.
+def write_events(params: GenParams, fh) -> int:
+    """Write a synthetic events CSV to the text file ``fh``, one taken week
+    of one module at a time, and return its size in bytes (the text is ASCII).
 
     The output always parses and cleans with zero rejections: keys are
     unique by construction and every field is well formed.
     """
-    import numpy as np  # here, not at the top: only gen and the split need numpy
-
-    rng = np.random.Generator(np.random.PCG64(params.seed))
+    rng = Generator(params.seed)
+    random = rng.random
     lo, hi = params.registered_range
     plo, phi = params.attend_prob_range
     qlo, qhi = params.taking_prob_range
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EVENTS_HEADER)
+    size = fh.write(",".join(EVENTS_HEADER) + "\n")
     for m in range(params.module_count):
         module_code = f"MOD{m + 1:03d}"
-        semester = int(rng.integers(1, 3))
-        registered = int(rng.integers(lo, hi + 1))
-        q = float(rng.uniform(qlo, qhi))
-        p = float(rng.uniform(plo, phi))
+        semester = rng.integers(1, 3)
+        registered = rng.integers(lo, hi + 1)
+        q = rng.uniform(qlo, qhi)
+        p = rng.uniform(plo, phi)
+        heads = [f"stu{m + 1:03d}_{s + 1:03d},{module_code},{semester}," for s in range(registered)]
         for week in range(1, params.weeks_total + 1):
-            if rng.random() >= q:
+            if random() >= q:
                 continue
-            for s in range(registered):
-                status = "present" if rng.random() < p else "absent"
-                writer.writerow([f"stu{m + 1:03d}_{s + 1:03d}", module_code, semester, week, status])
+            present, absent = f"{week},present\n", f"{week},absent\n"
+            size += fh.write("".join([head + (present if random() < p else absent) for head in heads]))
+    return size
+
+
+def generate_events(params: GenParams) -> bytes:
+    """The events CSV of :func:`write_events`, as UTF-8 bytes."""
+    buf = io.StringIO()
+    write_events(params, buf)
     return buf.getvalue().encode("utf-8")
 
 
@@ -106,7 +113,7 @@ def generate_rule_labeled_dataset(
     count, semester) are appended.
     """
     if n < 1:
-        raise InvalidThresholds(f"n must be >= 1, got {n}")
+        raise InvalidParams(f"n must be >= 1, got {n}")
     if not isinstance(thresholds, (list, tuple)):
         raise InvalidThresholds(f"thresholds must be a list of numbers, got {thresholds!r}")
     if not thresholds:
@@ -142,9 +149,7 @@ def generate_rule_labeled_dataset(
                 return str(10 - rank)
         return str(10 - len(thresholds))
 
-    import numpy as np  # here, not at the top: only gen and the split need numpy
-
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(seed)
     instances = []
     for i in range(n):
         lo, hi, _ = bands[i % len(bands)]
@@ -154,9 +159,9 @@ def generate_rule_labeled_dataset(
         elif pass_no == 1:
             avg = hi
         else:
-            avg = float(rng.uniform(lo, hi))
-        taken = int(rng.integers(1, 12))
-        sem = str(int(rng.integers(1, 3)))
+            avg = rng.uniform(lo, hi)
+        taken = rng.integers(1, 12)
+        sem = str(rng.integers(1, 3))
         instances.append(Instance((avg, taken, sem), label_for(avg)))
 
     attributes = (

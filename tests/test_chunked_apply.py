@@ -246,3 +246,18 @@ def test_peak_memory_does_not_grow_with_the_rows(tmp_path, model, command):
             assert run(argv) == 0  # imports and first-use caches are not what is measured
             peaks.append(traced_peak(argv))
     assert peaks[1] < 2 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("to", ["out", "stdout"])
+def test_gen_events_peak_memory_does_not_grow_with_the_events(tmp_path, to):
+    """gen --kind events writes a module's taken week at a time: 8 and 80
+    modules (about 2k and 20k events) must not near double the traced peak."""
+    peaks = []
+    for modules in (8, 80):
+        argv = ["gen", "--kind", "events", "--modules", str(modules), "--seed", "0"]
+        if to == "out":
+            argv += ["--out", str(tmp_path / "events.csv")]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            assert run(argv) == 0  # imports and first-use caches are not what is measured
+            peaks.append(traced_peak(argv))
+    assert peaks[1] < 2 * peaks[0], peaks

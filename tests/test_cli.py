@@ -926,3 +926,88 @@ def test_a_negative_seed_is_named_by_its_option(capsys, tmp_path, argv):
     assert run([arg.replace("{ds}", str(ds)) for arg in argv] + ["--seed", "-1"]) == 1
     assert capsys.readouterr() == ("", "error: ValueError: --seed: expected a non-negative integer, got -1\n")
     assert ds.read_bytes() == before
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_gen_names_a_row_count_below_one_by_its_option(capsys, tmp_path, n):
+    out = tmp_path / "ds.csv"
+    assert run(["gen", "--kind", "dataset", "--n", n, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: InvalidParams: --n: n must be >= 1, got {n}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def files_under(root):
+    """Each path under ``root`` with its bytes, or None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize(
+    "case", ["csv-is-a-directory", "schema-is-a-directory", "out-in-a-missing-directory", "bad-thresholds"]
+)
+def test_gen_dataset_that_fails_leaves_its_csv_and_sidecar_as_they_were(capsys, tmp_path, case):
+    """The CSV and its sidecar schema are written together when gen returns,
+    or neither is: a failed open of one leaves the other unwritten, untruncated
+    and, if the run would have created it, absent."""
+    ds, schema = tmp_path / "ds.csv", tmp_path / "ds.schema.json"
+    argv = ["gen", "--kind", "dataset", "--out", str(ds)]
+    if case == "csv-is-a-directory":
+        ds.mkdir()
+        schema.write_bytes(b"the schema of an earlier run\n")
+    elif case == "schema-is-a-directory":
+        schema.mkdir()  # and no ds.csv: the run must not leave one
+    elif case == "out-in-a-missing-directory":
+        ds.write_bytes(b"an earlier dataset\n")
+        schema.write_bytes(b"the schema of an earlier run\n")
+        argv[-1] = str(tmp_path / "missing" / "ds.csv")
+    else:
+        assert run(["gen", "--kind", "dataset", "--seed", "3", "--out", str(ds)]) == 0
+        (tmp_path / "t.json").write_text('[60, "a"]')
+        argv += ["--thresholds", str(tmp_path / "t.json")]
+    before = files_under(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == (1 if case == "bad-thresholds" else 2)
+    the_one_error_line(capsys)
+    assert files_under(tmp_path) == before
+
+
+def test_gen_dataset_replaces_an_earlier_pair_whole(tmp_path):
+    """A longer CSV and sidecar of an earlier run are truncated, not written over in part."""
+    (tmp_path / "fresh").mkdir()
+    make_dataset(tmp_path / "fresh")
+    for name in ("ds.csv", "ds.schema.json"):
+        (tmp_path / name).write_bytes(b"x" * 100_000)
+    make_dataset(tmp_path)
+    for name in ("ds.csv", "ds.schema.json"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_an_out_that_is_a_device_is_written_not_truncated():
+    assert run(["gen", "--kind", "events", "--out", os.devnull]) == 0
+
+
+def test_the_split_and_gen_need_no_numpy(tmp_path):
+    """With numpy unimportable, gen of both kinds and evaluate's seeded split
+    exit 0 and write the bytes a run with numpy importable writes."""
+    src = Path(sacmine.__file__).resolve().parents[1]
+    child = (
+        "import json, sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['numpy'] = None\n"
+        "from sacmine.cli import run\n"
+        "sys.exit(max(run(argv) for argv in json.loads(sys.argv[2])))\n"
+    )
+    argvs = [
+        ["gen", "--kind", "events", "--seed", "5", "--out", "events.csv"],
+        ["gen", "--kind", "events", "--seed", "99", "--modules", "3"],
+        ["gen", "--kind", "dataset", "--seed", "5", "--n", "300", "--out", "ds.csv"],
+        ["evaluate", "--in", "ds.csv", "--fraction", "0.7", "--seed", "5", "--out", "eval.json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    outputs = {}
+    for side in ("blocked", "normal"):
+        (tmp_path / side).mkdir()
+        done = subprocess.run([sys.executable, "-c", child, side, json.dumps(argvs)], cwd=tmp_path / side,
+                              env=env, capture_output=True, check=True)
+        outputs[side] = (done.stdout, done.stderr, {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()})
+    assert outputs["blocked"] == outputs["normal"]
+    assert sorted(outputs["normal"][2]) == ["ds.csv", "ds.schema.json", "eval.json", "events.csv"]
