@@ -7,8 +7,9 @@ schema of gen --kind dataset) and stdout are held in temporary files and
 written only when the command returns, --out before stdout, so a run that
 fails prints nothing on stdout and leaves an existing --out as it was.
 Exit codes: 0 success, 1 validation or domain error, 2 I/O error (an empty
-path option among them). Identical arguments plus identical input files
-always produce byte-identical artifacts.
+path option among them). run alone decides the exit code: a subcommand
+returns nothing, and run turns the error it raises into 1 or 2. Identical
+arguments plus identical input files always produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -146,6 +147,16 @@ def _held(*targets):
                 shutil.copyfileobj(text, sink)
 
 
+def _mode_options(args, mode: str, active: bool, **defaults) -> None:
+    """Give each option of ``defaults``, one that only ``mode`` takes, its default
+    where unset; outside that mode (``active`` false), one that is set is an error."""
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif not active:
+            raise ValueError(f"--{name.replace('_', '-')} applies only to {mode}")
+
+
 def _criterion(name: str) -> str:
     from . import dtree
 
@@ -171,13 +182,12 @@ def _read_events(path: str, weeks_total: int | None, file):
     return winners
 
 
-def _cmd_ingest(args, out) -> int:
+def _cmd_ingest(args, out) -> None:
     from . import ingest
 
     winners = _read_events(args.infile, None, sys.stdout)
     if out is not None:
         ingest.write_event_map_csv(winners, out)
-    return 0
 
 
 def _score_rows_from_input(args):
@@ -214,7 +224,7 @@ def _summarised(rows):
         yield row
 
 
-def _cmd_score(args, out) -> int:
+def _cmd_score(args, out) -> None:
     from . import ingest
 
     write = ingest.write_aggregate_csv if args.format == "csv" else ingest.write_aggregate_json
@@ -223,10 +233,9 @@ def _cmd_score(args, out) -> int:
         collections.deque(rows, maxlen=0)
     else:
         write(rows, out)
-    return 0
 
 
-def _cmd_reliability(args, out) -> int:
+def _cmd_reliability(args, out) -> None:
     from . import fixtures, reliability
 
     source = fixtures.path(fixtures.PANEL) if args.infile is None else args.infile
@@ -245,10 +254,9 @@ def _cmd_reliability(args, out) -> int:
             f"sum_item_variance {breakdown.sum_item_variance!r}\n"
             f"total_score_variance {breakdown.total_score_variance!r}\n"
         )
-    return 0
 
 
-def _cmd_train(args, out) -> int:
+def _cmd_train(args, out) -> None:
     from . import dtree
 
     data = dtree.read_dataset_csv(args.infile)
@@ -256,10 +264,9 @@ def _cmd_train(args, out) -> int:
     print(f"trained tree: {dtree.count_nodes(tree)} nodes, {dtree.count_leaves(tree)} leaves")
     if out is not None:
         out.write(dtree.model_text(tree, data.attributes, data.label))
-    return 0
 
 
-def _cmd_rules(args, out) -> int:
+def _cmd_rules(args, out) -> None:
     from . import dtree
 
     tree, _, label = dtree.load_model(args.infile)
@@ -283,24 +290,18 @@ def _cmd_rules(args, out) -> int:
             for rule in ruleset.rules
         ]
         out.write(json.dumps(doc, indent=2) + "\n")
-    return 0
 
 
-def _cmd_evaluate(args, out) -> int:
+def _cmd_evaluate(args, out) -> None:
     from . import dtree
 
     # Only a run without --model splits, so only it takes these options.
-    split = {"fraction": 0.70, "seed": 0, "criterion": "gain-ratio", "min_leaf": 2}
-    for name, default in split.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif args.model is not None:
-            raise ValueError(f"--{name.replace('_', '-')} applies only to evaluate without --model")
+    _mode_options(args, "evaluate without --model", args.model is None,
+                  fraction=0.70, seed=0, criterion="gain-ratio", min_leaf=2)
     if args.model is not None:
         tree, attributes, label = dtree.load_model(args.model)
         rows = dtree.labelled_rows(args.infile, attributes, label)
-        chunks = ((chunk, [row[-1] for row in chunk]) for chunk in dtree.chunks(rows))
-        report = dtree.NodeTable(tree).evaluate(chunks, label.domain)
+        report = dtree.NodeTable(tree).evaluate(rows, label.domain)
         sizes = {"train": None, "test": sum(map(sum, report.confusion))}
     else:
         data = dtree.read_dataset_csv(args.infile)
@@ -320,10 +321,9 @@ def _cmd_evaluate(args, out) -> int:
         out.write(json.dumps(doc, indent=2) + "\n")
     elif out is not None:
         out.write(f"accuracy {report.accuracy!r}\nrmse {report.rmse!r}\n")
-    return 0
 
 
-def _cmd_predict(args, out) -> int:
+def _cmd_predict(args, out) -> None:
     from . import dtree
 
     tree, attributes, label = dtree.load_model(args.model)
@@ -344,44 +344,36 @@ def _cmd_predict(args, out) -> int:
             writer.writerows(map(operator.add, chunk, map(tails.__getitem__, leaf_ids)))
     if n > 10:
         print(f"... {n - 10} more")
-    return 0
 
 
-#: The gen options of each --kind; an option of the other kind is an error.
-_GEN_OPTIONS = {"events": ("weeks", "modules"), "dataset": ("n", "thresholds")}
-
-
-def _cmd_gen(args, out, schema=None) -> int:
+def _cmd_gen(args, out, schema=None) -> None:
     from . import dtree, fixtures, synthgen
 
-    other = "dataset" if args.kind == "events" else "events"
-    for name in _GEN_OPTIONS[other]:
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name} applies only to gen --kind {other}")
+    _mode_options(args, "gen --kind events", args.kind == "events", weeks=11, modules=12)
+    _mode_options(args, "gen --kind dataset", args.kind == "dataset", n=59, thresholds=None)
     if args.kind == "dataset" and out is None:
         raise ValueError("gen --kind dataset requires --out")
     if args.kind == "events":
-        modules = 12 if args.modules is None else args.modules
-        weeks = 11 if args.weeks is None else args.weeks
-        params = synthgen.GenParams(module_count=modules, weeks_total=weeks, seed=args.seed)
+        try:
+            params = synthgen.GenParams(module_count=args.modules, weeks_total=args.weeks, seed=args.seed)
+        except InvalidParams as exc:  # a count below 1, module_count checked first
+            raise InvalidParams(f"{'--modules' if args.modules < 1 else '--weeks'}: {exc}") from None
         size = synthgen.write_events(params, sys.stdout if out is None else out)
         if out is not None:
-            print(f"wrote {args.out} ({size} bytes, {modules} modules)")
-        return 0
+            print(f"wrote {args.out} ({size} bytes, {args.modules} modules)")
+        return
     source = fixtures.path(fixtures.RULE_THRESHOLDS) if args.thresholds is None else Path(args.thresholds)
     try:
         thresholds = json.loads(source.read_text(encoding="utf-8"))
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{source}: {type(exc).__name__}: {exc}") from None
-    n = 59 if args.n is None else args.n
     try:
-        data = synthgen.generate_rule_labeled_dataset(thresholds, n, args.seed)
+        data = synthgen.generate_rule_labeled_dataset(thresholds, args.n, args.seed)
     except InvalidParams as exc:  # the row count is its only parameter error
         raise InvalidParams(f"--n: {exc}") from None
     dtree.write_dataset(data, out, schema)
     classes = sorted({inst.label for inst in data.instances}, key=int)
-    print(f"wrote {args.out} ({n} instances, classes {','.join(classes)})")
-    return 0
+    print(f"wrote {args.out} ({args.n} instances, classes {','.join(classes)})")
 
 
 #: The path options, by their argparse dest; an empty one names no file.
@@ -428,7 +420,8 @@ def run(argv) -> int:
         # stdout and the paths wait in spools that are written only if the
         # command returns, the paths first; a failed run writes none of them.
         with _held(*_paths(args), sys.stdout) as (*outs, stdout), redirect_stdout(stdout):
-            return _COMMANDS[args.command](args, *outs)
+            _COMMANDS[args.command](args, *outs)
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 
 from . import tables
@@ -238,9 +238,9 @@ class NodeTable:
             reached.append(node)
         return list(map(self._number.__getitem__, map(id, reached)))
 
-    def evaluate(self, chunks, domain) -> EvalReport:
-        """:func:`evaluate` of the rows of each ``(rows, labels)`` chunk of
-        ``chunks``, ``labels`` being the rows' true classes.
+    def evaluate(self, rows, domain) -> EvalReport:
+        """:func:`evaluate` of ``rows``, each a row of values whose last cell
+        is its true class, routed :data:`CHUNK` rows at a time.
 
         The K squared errors of each (leaf, true class) pair are computed once,
         but summed in one running sum, row by row and class by class, carried
@@ -248,8 +248,8 @@ class NodeTable:
         counts: Counter = Counter()
         terms: dict[tuple[int, str], list[float]] = {}
         sq = 0.0
-        for rows, labels in chunks:
-            pairs = list(zip(self.route(rows), labels))
+        for chunk in chunks(rows):
+            pairs = list(zip(self.route(chunk), map(itemgetter(-1), chunk)))
             counts.update(pairs)
             for j, truth in set(pairs).difference(terms):
                 terms[j, truth] = [
@@ -654,10 +654,8 @@ def evaluate(tree: TreeNode, test: Dataset) -> EvalReport:
     once, up front, and raises SchemaMismatch where a node does not fit it;
     the set's rows, already checked by :class:`Dataset`, then route unchecked.
     """
-    rows = [inst.values for inst in test.instances]
-    labels = [inst.label for inst in test.instances]
     table = NodeTable(tree, test.attributes, test.label)
-    return table.evaluate([(rows, labels)], test.label.domain)
+    return table.evaluate((inst.values + (inst.label,) for inst in test.instances), test.label.domain)
 
 
 def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import tables
 from .credibility import ModuleTermRecord, WeekObservation, attendance_average, strength_bin
 from .credibility import sac as sac_score
-from .errors import SchemaMismatch, WeekOutOfRange
+from .errors import InvalidAverage, SchemaMismatch, WeekOutOfRange
 
 EVENTS_HEADER = ("student_id", "module_code", "semester", "week", "status")
 ROSTER_HEADER = ("module_code", "semester", "registered")
@@ -183,6 +183,7 @@ def aggregate_event_map(
 
 # --- the rules: row validation, present-wins dedupe, weekly tally ----------
 
+#: The semester rule of the events, roster and module-input readers: the trimmed text 1 or 2.
 _SEMESTERS = {"1": 1, "2": 2}
 _STATUSES = {"present": True, "absent": False}
 #: Distinct raw week cells that :func:`_valid_rows` remembers; a log has a few
@@ -347,11 +348,12 @@ def read_roster_csv(path) -> list[RosterEntry]:
     with tables.read(Path(path)) as table:
         table.expect(ROSTER_HEADER)
         for module_code, semester_s, registered in table.rows(ROSTER_HEADER, {2: int}):
-            if not module_code or semester_s not in ("1", "2"):
+            semester = _SEMESTERS.get(semester_s)
+            if not module_code or semester is None:
                 raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s!r}")
-            if (module_code, semester_s) in entries:
-                raise SchemaMismatch(f"duplicate row for {module_code} semester {semester_s}")
-            entries[module_code, semester_s] = RosterEntry(module_code, int(semester_s), registered)
+            if (module_code, semester) in entries:
+                raise SchemaMismatch(f"duplicate row for {module_code} semester {semester}")
+            entries[module_code, semester] = RosterEntry(module_code, semester, registered)
     return list(entries.values())
 
 
@@ -377,15 +379,20 @@ def module_input_rows(path):
     """Score pre-aggregated module inputs, yielding one row at a time.
 
     Expects header ``module_code,semester,weeks_total,attendance_taken,attend_avg``;
-    yields the same row shape as :func:`score_rows`.
+    yields the same row shape as :func:`score_rows`. Every row needs a semester
+    of ``1`` or ``2`` and ``weeks_total >= 1``, and an ``attend_avg``, which may be
+    blank only when no week was taken, must be a number in [0, 100].
     """
     with tables.read(Path(path)) as table:
         table.expect(MODULE_INPUT_HEADER)
-        counts = {1: int, 2: int, 3: int}
-        for module_code, semester, weeks, taken, avg_s in table.rows(MODULE_INPUT_HEADER, counts):
-            if not module_code or semester not in (1, 2):
-                raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester}")
-            avg = tables.number("attend_avg", avg_s, float) if taken else None
+        for module_code, semester_s, weeks, taken, avg_s in table.rows(MODULE_INPUT_HEADER, {2: int, 3: int}):
+            semester = _SEMESTERS.get(semester_s)
+            if not module_code or semester is None:
+                raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s}")
+            _week_limit(weeks)
+            avg = tables.number("attend_avg", avg_s, float) if avg_s or taken else None
+            if avg is not None and not 0.0 <= avg <= 100.0:
+                raise InvalidAverage(f"attend_avg must be in [0, 100], got {avg}")
             yield _scored(module_code, semester, weeks, taken, avg)
 
 

@@ -152,6 +152,19 @@ def test_every_batch_split_gives_the_one_pass_json(capsys, monkeypatch, tmp_path
     assert capsys.readouterr().out == one_pass_score(inputs)[0]
 
 
+@pytest.mark.parametrize("chunk", [SMALL_CHUNK, REAL_CHUNK], ids=["small-chunk", "real-chunk"])
+def test_library_evaluate_in_chunks_gives_the_reference_report(monkeypatch, model, chunk):
+    """``dtree.evaluate`` of a Dataset routes it a chunk at a time, and its
+    report equals the one of ``tests/reference_evaluate.py`` bit for bit."""
+    monkeypatch.setattr(dtree, "CHUNK", chunk)
+    route, routed = dtree.NodeTable.route, []
+    monkeypatch.setattr(dtree.NodeTable, "route", lambda self, rows: routed.append(len(rows)) or route(self, rows))
+    tree = dtree.load_model(model)[0]
+    test = noisy_dataset(2 * chunk + 3, 4)
+    assert dtree.evaluate(tree, test) == reference_evaluate(tree, test)
+    assert routed == [chunk, chunk, 3]
+
+
 def bad_row_case(command, tmp_path, model, n, bad):
     """Arguments for ``command`` on an n-row input whose row ``bad`` (1-based,
     after the header) is malformed, and the error line it must end with."""

@@ -311,9 +311,16 @@ class TestMalformedInputs:
             ("M1,1,11,12,50.0", "need 1 <= taken_count <= weeks_total"),
             (",1,11,2,50.0", "bad module_code or semester: '',1"),
             ("M1,3,11,2,50.0", "bad module_code or semester: 'M1',3"),
+            ("M1,01,11,2,50.0", "bad module_code or semester: 'M1',01"),
+            ("M1,+2,11,2,50.0", "bad module_code or semester: 'M1',+2"),
+            ("M1,1,-5,0,", "weeks_total must be >= 1, got -5"),
+            ("M2,2,0,0,abc", "weeks_total must be >= 1, got 0"),
+            ("M2,2,11,0,abc", "attend_avg: expected a finite number, got 'abc'"),
+            ("M2,2,11,0,150", "attend_avg must be in [0, 100], got 150.0"),
         ],
         ids=["short-row", "text-count", "nan-average", "taken-above-weeks", "empty-module-code",
-             "semester-3"],
+             "semester-3", "semester-01", "semester-plus-2", "negative-weeks-none-taken",
+             "zero-weeks-junk-average", "junk-average-none-taken", "average-above-100-none-taken"],
     )
     def test_score_rejects_bad_module_inputs(self, capsys, tmp_path, row, message):
         inputs = tmp_path / "modules.csv"
@@ -323,6 +330,16 @@ class TestMalformedInputs:
         )
         assert run(["score", "--in", str(inputs)]) == 1
         assert f"modules.csv:3: {message}" in capsys.readouterr().err
+
+    def test_score_writes_a_module_with_no_week_taken_blank_whatever_its_average(self, tmp_path):
+        inputs = tmp_path / "modules.csv"
+        inputs.write_text(
+            "module_code,semester,weeks_total,attendance_taken,attend_avg\n"
+            "M1,1,11,0,\nM2,2,11,0,55.5\n"
+        )
+        out = tmp_path / "scored.csv"
+        assert run(["score", "--in", str(inputs), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["M1,1,11,0,,,0", "M2,2,11,0,,,0"]
 
     @pytest.mark.parametrize(
         "weeks, message",
@@ -531,7 +548,7 @@ class TestApplyInputs:
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    """Only gen and the train/test split need numpy, so no other command pays its import."""
+    """sacmine imports numpy nowhere, so no command pays its import."""
     src = Path(sacmine.__file__).resolve().parents[1]
     code = "import sys, sacmine.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -933,6 +950,15 @@ def test_gen_names_a_row_count_below_one_by_its_option(capsys, tmp_path, n):
     out = tmp_path / "ds.csv"
     assert run(["gen", "--kind", "dataset", "--n", n, "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: InvalidParams: --n: n must be >= 1, got {n}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("option, field", [("--modules", "module_count"), ("--weeks", "weeks_total")])
+def test_gen_events_names_a_count_below_one_by_its_option(capsys, tmp_path, option, field, out):
+    argv = ["gen", "--kind", "events", option, "0"] + (["--out", str(tmp_path / "e.csv")] if out else [])
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: InvalidParams: {option}: {field} must be >= 1, got 0\n")
     assert list(tmp_path.iterdir()) == []
 
 
