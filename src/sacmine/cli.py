@@ -28,7 +28,7 @@ from contextlib import ExitStack, contextmanager, redirect_stdout
 from pathlib import Path
 
 from . import __version__
-from .errors import Error, InvalidParams
+from .errors import Error, InvalidFraction, InvalidParams
 
 # Each subcommand imports the modules it uses, so startup loads none it does
 # not need. The --estimator names are reliability.ESTIMATORS, POPULATION first.
@@ -107,19 +107,17 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _held(*targets):
     """A file to write the text for each of ``targets``, an ``--out`` path or
-    a stream such as ``sys.stdout``, or None for one that is None. The text
-    waits in a write-only temporary file (one that can also read resets its
-    decoder on every write) and reaches its target only if the block ends
-    without an error. Then every path is opened before any target is written:
-    in append mode, so that no open truncates a file while a later one may
-    still fail, and if one fails, each path the run created is removed. A run
-    that fails thus writes, truncates and creates none of its targets. The
-    targets are written in the order given."""
+    a stream such as ``sys.stdout``. The text waits in a write-only temporary
+    file (one that can also read resets its decoder on every write) and
+    reaches its targets, in the order given, only if the block ends without
+    an error. Then every path is opened before any target is written: in
+    append mode, so that no open truncates a file while a later one may still
+    fail, and if one fails, each path the run created is removed. A run that
+    fails thus writes, truncates and creates none of its targets."""
     with ExitStack() as stack:
         spools = [
-            None if target is None
-            else stack.enter_context(tempfile.TemporaryFile("w", encoding="utf-8", newline=""))
-            for target in targets
+            stack.enter_context(tempfile.TemporaryFile("w", encoding="utf-8", newline=""))
+            for _ in targets
         ]
         yield spools
         sinks, created = [], []
@@ -137,8 +135,6 @@ def _held(*targets):
                 os.remove(name)
             raise
         for target, sink, spool in zip(targets, sinks, spools):
-            if spool is None:
-                continue
             if isinstance(target, str) and stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
                 sink.truncate(0)  # as opening with "w" does; that leaves a device or pipe as it is
             spool.flush()
@@ -157,10 +153,23 @@ def _mode_options(args, mode: str, active: bool, **defaults) -> None:
             raise ValueError(f"--{name.replace('_', '-')} applies only to {mode}")
 
 
-def _criterion(name: str) -> str:
+def _artifact(out, as_json: bool, doc, text: str) -> None:
+    """Write ``doc`` as indented JSON, or else ``text``, to ``out`` if there is one."""
+    if out is not None:
+        out.write(json.dumps(doc, indent=2) + "\n" if as_json else text)
+
+
+def _tree(data, args):
+    """The tree that ``args.criterion`` and ``args.min_leaf`` build from ``data``."""
     from . import dtree
 
-    return dtree.GAIN if name == "gain" else dtree.GAIN_RATIO
+    criterion = dtree.GAIN if args.criterion == "gain" else dtree.GAIN_RATIO
+    try:
+        return dtree.build_tree(data, criterion=criterion, min_leaf=args.min_leaf)
+    except ValueError as exc:
+        if args.min_leaf >= 1 or not data.attributes:  # build_tree checks the attributes first
+            raise
+        raise ValueError(f"--min-leaf: {exc}") from None
 
 
 def _read_events(path: str, weeks_total: int | None, file):
@@ -182,7 +191,7 @@ def _read_events(path: str, weeks_total: int | None, file):
     return winners
 
 
-def _cmd_ingest(args, out) -> None:
+def _cmd_ingest(args, out=None) -> None:
     from . import ingest
 
     winners = _read_events(args.infile, None, sys.stdout)
@@ -224,7 +233,7 @@ def _summarised(rows):
         yield row
 
 
-def _cmd_score(args, out) -> None:
+def _cmd_score(args, out=None) -> None:
     from . import ingest
 
     write = ingest.write_aggregate_csv if args.format == "csv" else ingest.write_aggregate_json
@@ -235,7 +244,7 @@ def _cmd_score(args, out) -> None:
         write(rows, out)
 
 
-def _cmd_reliability(args, out) -> None:
+def _cmd_reliability(args, out=None) -> None:
     from . import fixtures, reliability
 
     source = fixtures.path(fixtures.PANEL) if args.infile is None else args.infile
@@ -245,28 +254,26 @@ def _cmd_reliability(args, out) -> None:
         f"alpha {breakdown.alpha:.3f} (estimator {breakdown.estimator}, "
         f"k={breakdown.k}, m={breakdown.m})"
     )
-    if out is not None and args.format == "json":
-        out.write(json.dumps(reliability.breakdown_to_json(breakdown), indent=2) + "\n")
-    elif out is not None:
-        out.write(
-            f"alpha {breakdown.alpha:.3f}\n"
-            f"estimator {breakdown.estimator}\n"
-            f"sum_item_variance {breakdown.sum_item_variance!r}\n"
-            f"total_score_variance {breakdown.total_score_variance!r}\n"
-        )
+    _artifact(
+        out, args.format == "json", reliability.breakdown_to_json(breakdown),
+        f"alpha {breakdown.alpha:.3f}\n"
+        f"estimator {breakdown.estimator}\n"
+        f"sum_item_variance {breakdown.sum_item_variance!r}\n"
+        f"total_score_variance {breakdown.total_score_variance!r}\n",
+    )
 
 
-def _cmd_train(args, out) -> None:
+def _cmd_train(args, out=None) -> None:
     from . import dtree
 
     data = dtree.read_dataset_csv(args.infile)
-    tree = dtree.build_tree(data, criterion=_criterion(args.criterion), min_leaf=args.min_leaf)
+    tree = _tree(data, args)
     print(f"trained tree: {dtree.count_nodes(tree)} nodes, {dtree.count_leaves(tree)} leaves")
     if out is not None:
         out.write(dtree.model_text(tree, data.attributes, data.label))
 
 
-def _cmd_rules(args, out) -> None:
+def _cmd_rules(args, out=None) -> None:
     from . import dtree
 
     tree, _, label = dtree.load_model(args.infile)
@@ -274,25 +281,22 @@ def _cmd_rules(args, out) -> None:
     lines = ruleset.to_text(label.name)
     for line in lines:
         print(line)
-    if out is not None and args.format == "text":
-        out.write("\n".join(lines) + "\n")
-    elif out is not None:
-        doc = [
-            {
-                "conditions": [
-                    {"attribute": c.attribute, "op": c.op, "value": c.value}
-                    for c in rule.conditions
-                ],
-                "class": rule.label,
-                "coverage": rule.coverage,
-                "confidence": rule.confidence,
-            }
-            for rule in ruleset.rules
-        ]
-        out.write(json.dumps(doc, indent=2) + "\n")
+    doc = [
+        {
+            "conditions": [
+                {"attribute": c.attribute, "op": c.op, "value": c.value}
+                for c in rule.conditions
+            ],
+            "class": rule.label,
+            "coverage": rule.coverage,
+            "confidence": rule.confidence,
+        }
+        for rule in ruleset.rules
+    ]
+    _artifact(out, args.format == "json", doc, "\n".join(lines) + "\n")
 
 
-def _cmd_evaluate(args, out) -> None:
+def _cmd_evaluate(args, out=None) -> None:
     from . import dtree
 
     # Only a run without --model splits, so only it takes these options.
@@ -305,25 +309,25 @@ def _cmd_evaluate(args, out) -> None:
         sizes = {"train": None, "test": sum(map(sum, report.confusion))}
     else:
         data = dtree.read_dataset_csv(args.infile)
-        train, test = dtree.split_dataset(data, args.fraction, args.seed)
-        tree = dtree.build_tree(train, criterion=_criterion(args.criterion), min_leaf=args.min_leaf)
+        try:
+            train, test = dtree.split_dataset(data, args.fraction, args.seed)
+        except InvalidFraction as exc:  # split_dataset's error for the fraction alone
+            raise InvalidFraction(f"--fraction: {exc}") from None
+        tree = _tree(train, args)
         report = dtree.evaluate(tree, test)
         sizes = {"train": len(train.instances), "test": len(test.instances)}
     print(f"accuracy {report.accuracy:.3f} rmse {report.rmse:.4f} (test n={sizes['test']})")
-    if out is not None and args.format == "json":
-        doc = {
-            "accuracy": report.accuracy,
-            "rmse": report.rmse,
-            "classes": list(report.classes),
-            "confusion": [list(row) for row in report.confusion],
-            "sizes": sizes,
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
-    elif out is not None:
-        out.write(f"accuracy {report.accuracy!r}\nrmse {report.rmse!r}\n")
+    doc = {
+        "accuracy": report.accuracy,
+        "rmse": report.rmse,
+        "classes": list(report.classes),
+        "confusion": [list(row) for row in report.confusion],
+        "sizes": sizes,
+    }
+    _artifact(out, args.format == "json", doc, f"accuracy {report.accuracy!r}\nrmse {report.rmse!r}\n")
 
 
-def _cmd_predict(args, out) -> None:
+def _cmd_predict(args, out=None) -> None:
     from . import dtree
 
     tree, attributes, label = dtree.load_model(args.model)
@@ -346,7 +350,7 @@ def _cmd_predict(args, out) -> None:
         print(f"... {n - 10} more")
 
 
-def _cmd_gen(args, out, schema=None) -> None:
+def _cmd_gen(args, out=None, schema=None) -> None:
     from . import dtree, fixtures, synthgen
 
     _mode_options(args, "gen --kind events", args.kind == "events", weeks=11, modules=12)
@@ -383,9 +387,11 @@ _PATH_OPTIONS = {
 
 
 def _paths(args) -> list:
-    """The paths a run writes: --out (None without one), then the sidecar
-    schema of the dataset that gen --kind dataset writes there."""
-    if args.command == "gen" and args.kind == "dataset" and args.out is not None:
+    """The paths a run writes: --out, if given, then the sidecar schema of the
+    dataset that gen --kind dataset writes there."""
+    if args.out is None:
+        return []
+    if args.command == "gen" and args.kind == "dataset":
         from . import dtree
 
         return [args.out, str(dtree.default_schema_path(args.out))]

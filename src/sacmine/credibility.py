@@ -138,12 +138,16 @@ def attendance_average(record: ModuleTermRecord) -> float:
     return 100.0 * ratio_sum / len(taken)
 
 
-def _check_sac_inputs(attend_avg: float, taken_count: int, weeks_total: int) -> None:
+def _check_counts(taken_count: int, weeks_total: int) -> None:
     if weeks_total < 1 or taken_count < 1 or taken_count > weeks_total:
         raise InvalidCounts(
             f"need 1 <= taken_count <= weeks_total, got "
             f"taken_count={taken_count}, weeks_total={weeks_total}"
         )
+
+
+def _check_sac_inputs(attend_avg: float, taken_count: int, weeks_total: int) -> None:
+    _check_counts(taken_count, weeks_total)
     if not 0.0 <= attend_avg <= 100.0:
         raise InvalidAverage(f"attend_avg must be in [0, 100], got {attend_avg}")
 

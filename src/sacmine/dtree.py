@@ -685,11 +685,8 @@ def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Data
         (c for c in quotas if alloc[c] < len(by_class[c])),
         key=lambda c: (-(quotas[c] - alloc[c]), data.label.domain.index(c)),
     )
-    for c in candidates:
-        if extra == 0:
-            break
+    for c in candidates[:extra]:
         alloc[c] += 1
-        extra -= 1
 
     rng = Generator(seed)
     train_idx: set[int] = set()

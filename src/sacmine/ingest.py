@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import tables
 from .credibility import ModuleTermRecord, WeekObservation, attendance_average, strength_bin
-from .credibility import sac as sac_score
+from .credibility import _check_counts, sac as sac_score
 from .errors import InvalidAverage, SchemaMismatch, WeekOutOfRange
 
 EVENTS_HEADER = ("student_id", "module_code", "semester", "week", "status")
@@ -112,12 +112,10 @@ def parse_events(stream) -> tuple[list[AttendanceEvent], CleaningReport]:
     in that order.
     """
     report = CleaningReport()
-    with tables.read(stream) as table:
-        table.expect(EVENTS_HEADER)
-        events = [
-            AttendanceEvent(student_id, module_code, semester, week, present)
-            for (module_code, semester, week, student_id), present in _valid_rows(table, report)
-        ]
+    events = [
+        AttendanceEvent(student_id, module_code, semester, week, present)
+        for (module_code, semester, week, student_id), present in _valid_rows(stream, report)
+    ]
     report.check()
     return events, report
 
@@ -167,9 +165,7 @@ def read_event_map(
     """
     limit = math.inf if weeks_total is None else _week_limit(weeks_total)
     parsed = CleaningReport()
-    with tables.read(source) as table:
-        table.expect(EVENTS_HEADER)
-        winners, cleaning = _dedupe(_valid_rows(table, parsed, limit))
+    winners, cleaning = _dedupe(_valid_rows(source, parsed, limit))
     parsed.check()
     return winners, parsed, cleaning
 
@@ -201,52 +197,56 @@ def _week_beyond(module_code: str, week: int, weeks_total: int) -> WeekOutOfRang
     return WeekOutOfRange(f"{module_code} week {week} beyond weeks_total {weeks_total}")
 
 
-def _valid_rows(table: tables.Table, report: CleaningReport, weeks_total: float = math.inf):
-    """Each valid row of an events table as ``(key, present)``, in file order.
+def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf):
+    """Each valid row of the events table ``source``, any source that
+    :func:`tables.read` takes, as ``(key, present)``, in file order.
 
-    Every other row is counted in ``report`` under its first defect; a valid
-    row for a week beyond ``weeks_total`` raises WeekOutOfRange. Cells are
-    judged trimmed. Each distinct id is one string object, shared by its rows.
+    The header must be :data:`EVENTS_HEADER`. Every other row is counted in
+    ``report`` under its first defect; a valid row for a week beyond
+    ``weeks_total`` raises WeekOutOfRange. Cells are judged trimmed. Each
+    distinct id is one string object, shared by its rows.
     """
     ids: dict[str, str] = {}  # each id kept so far, to itself
     weeks: dict[str, int] = {}  # raw week cell -> its week, 0 when it is none
-    for row in table:
-        report.rows_read += 1
-        if len(row) != len(EVENTS_HEADER):
-            report.reject("wrong field count")
-            continue
-        student_id, module_code, semester_s, week_s, status_s = row
-        student_id = student_id.strip()
-        if not student_id:
-            report.reject("empty student_id")
-            continue
-        module_code = module_code.strip()
-        if not module_code:
-            report.reject("empty module_code")
-            continue
-        semester = _SEMESTERS.get(semester_s.strip())
-        if semester is None:
-            report.reject("bad semester")
-            continue
-        week = weeks.get(week_s)
-        if week is None:
-            week = _week(week_s)
-            if len(weeks) < _WEEK_CELLS:
-                weeks[week_s] = week
-        if week < 1:
-            report.reject("bad week")
-            continue
-        present = _STATUSES.get(status_s)
-        if present is None:
-            present = _STATUSES.get(status_s.strip().lower())
-            if present is None:
-                report.reject("unknown status")
+    with tables.read(source) as table:
+        table.expect(EVENTS_HEADER)
+        for row in table:
+            report.rows_read += 1
+            if len(row) != len(EVENTS_HEADER):
+                report.reject("wrong field count")
                 continue
-        if week > weeks_total:
-            raise _week_beyond(module_code, week, weeks_total)
-        report.rows_kept += 1
-        module_code = ids.setdefault(module_code, module_code)
-        yield (module_code, semester, week, ids.setdefault(student_id, student_id)), present
+            student_id, module_code, semester_s, week_s, status_s = row
+            student_id = student_id.strip()
+            if not student_id:
+                report.reject("empty student_id")
+                continue
+            module_code = module_code.strip()
+            if not module_code:
+                report.reject("empty module_code")
+                continue
+            semester = _SEMESTERS.get(semester_s.strip())
+            if semester is None:
+                report.reject("bad semester")
+                continue
+            week = weeks.get(week_s)
+            if week is None:
+                week = _week(week_s)
+                if len(weeks) < _WEEK_CELLS:
+                    weeks[week_s] = week
+            if week < 1:
+                report.reject("bad week")
+                continue
+            present = _STATUSES.get(status_s)
+            if present is None:
+                present = _STATUSES.get(status_s.strip().lower())
+                if present is None:
+                    report.reject("unknown status")
+                    continue
+            if week > weeks_total:
+                raise _week_beyond(module_code, week, weeks_total)
+            report.rows_kept += 1
+            module_code = ids.setdefault(module_code, module_code)
+            yield (module_code, semester, week, ids.setdefault(student_id, student_id)), present
 
 
 def _week(cell: str) -> int:
@@ -379,9 +379,10 @@ def module_input_rows(path):
     """Score pre-aggregated module inputs, yielding one row at a time.
 
     Expects header ``module_code,semester,weeks_total,attendance_taken,attend_avg``;
-    yields the same row shape as :func:`score_rows`. Every row needs a semester
-    of ``1`` or ``2`` and ``weeks_total >= 1``, and an ``attend_avg``, which may be
-    blank only when no week was taken, must be a number in [0, 100].
+    yields the same row shape as :func:`score_rows`. Each row is checked in this
+    order: a semester of ``1`` or ``2``, ``weeks_total >= 1``, an
+    ``attendance_taken`` of 0 or in [1, weeks_total], and an ``attend_avg`` in
+    [0, 100], which may be blank only when no week was taken.
     """
     with tables.read(Path(path)) as table:
         table.expect(MODULE_INPUT_HEADER)
@@ -390,6 +391,8 @@ def module_input_rows(path):
             if not module_code or semester is None:
                 raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s}")
             _week_limit(weeks)
+            if taken:
+                _check_counts(taken, weeks)
             avg = tables.number("attend_avg", avg_s, float) if avg_s or taken else None
             if avg is not None and not 0.0 <= avg <= 100.0:
                 raise InvalidAverage(f"attend_avg must be in [0, 100], got {avg}")

@@ -290,8 +290,9 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize(
         "rows, fault",
-        [(",1,20\n", "bad module_code"), ("M1,1,20\nM1,1,30\n", "duplicate row for M1 semester 1")],
-        ids=["empty-module-code", "duplicate-module-semester"],
+        [(",1,20\n", "bad module_code"), ("M1,1,20\nM1,1,30\n", "duplicate row for M1 semester 1"),
+         ("M1,1,0\n", "M1: registered must be >= 1")],
+        ids=["empty-module-code", "duplicate-module-semester", "registered-0"],
     )
     def test_score_rejects_bad_roster_rows(self, capsys, tmp_path, rows, fault):
         events = tmp_path / "events.csv"
@@ -317,10 +318,13 @@ class TestMalformedInputs:
             ("M2,2,0,0,abc", "weeks_total must be >= 1, got 0"),
             ("M2,2,11,0,abc", "attend_avg: expected a finite number, got 'abc'"),
             ("M2,2,11,0,150", "attend_avg must be in [0, 100], got 150.0"),
+            ("M1,1,11,-1,", "need 1 <= taken_count <= weeks_total, got taken_count=-1, weeks_total=11"),
+            ("M1,1,11,12,", "need 1 <= taken_count <= weeks_total, got taken_count=12, weeks_total=11"),
         ],
         ids=["short-row", "text-count", "nan-average", "taken-above-weeks", "empty-module-code",
              "semester-3", "semester-01", "semester-plus-2", "negative-weeks-none-taken",
-             "zero-weeks-junk-average", "junk-average-none-taken", "average-above-100-none-taken"],
+             "zero-weeks-junk-average", "junk-average-none-taken", "average-above-100-none-taken",
+             "negative-taken-blank-average", "taken-above-weeks-blank-average"],
     )
     def test_score_rejects_bad_module_inputs(self, capsys, tmp_path, row, message):
         inputs = tmp_path / "modules.csv"
@@ -482,6 +486,30 @@ class TestMalformedInputs:
         assert run(["reliability", "--in", str(panel)]) == 1
         assert "panel.csv:3: B: SAC value 1.5 outside [0, 1]" in capsys.readouterr().err
 
+    def test_reliability_names_the_line_of_a_repeated_module_row(self, capsys, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("module_code,y1,y2\nA,0.1,0.2\nA,0.3,0.4\nC,0.5,0.6\n")
+        assert run(["reliability", "--in", str(panel)]) == 1
+        assert capsys.readouterr() == ("", f"error: SchemaMismatch: {panel}:3: duplicate module row A\n")
+
+    def test_score_with_a_roster_drops_a_module_with_more_present_than_registered(self, capsys, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "student_id,module_code,semester,week,status\n"
+            "s1,M1,1,1,present\ns2,M1,1,1,present\ns3,M1,1,1,present\ns1,M2,1,1,present\n"
+        )
+        roster = tmp_path / "roster.csv"
+        roster.write_text("module_code,semester,registered\nM1,1,2\nM2,1,5\n")
+        out = tmp_path / "scored.csv"
+        assert run(["score", "--in", str(events), "--roster", str(roster), "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            "M2 sem 1: sac 0.018 strength 1 (taken 1)\n",
+            "read 4 rows: kept 4, rejected 0\n"
+            "cleaned to 4 events: 0 duplicates dropped, 0 conflicts resolved\n"
+            "rejected record: M1 semester 1 week 1: 3 present exceeds 2 registered\n",
+        )
+        assert out.read_text().splitlines()[1:] == ["M2,1,11,1,20.0,0.018,1"]
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_artifacts(self, tmp_path):
@@ -635,8 +663,10 @@ def test_gen_rejects_an_option_of_the_other_kind(capsys, tmp_path, argv, reason)
      (b"50", "InvalidThresholds: thresholds must be a list of numbers, got 50\n"),
      (b"[50, true]", "InvalidThresholds: threshold True is not a number\n"),
      (b"not json", "ValueError: {path}: JSONDecodeError: Expecting value: line 1 column 1 (char 0)\n"),
-     (b"\xff[50]", "ValueError: {path}: UnicodeDecodeError: ")],
-    ids=["text-item", "object", "string", "number", "bool-item", "not-json", "not-utf8"],
+     (b"\xff[50]", "ValueError: {path}: UnicodeDecodeError: "),
+     (b"[95, 90, 85, 80, 70, 60, 50, 40, 30, 20]",
+      "InvalidThresholds: at most 9 thresholds fit the 10 strength classes\n")],
+    ids=["text-item", "object", "string", "number", "bool-item", "not-json", "not-utf8", "ten-thresholds"],
 )
 def test_gen_rejects_thresholds_that_are_not_a_list_of_numbers(capsys, tmp_path, content, message):
     thresholds = tmp_path / "t.json"
@@ -960,6 +990,52 @@ def test_gen_events_names_a_count_below_one_by_its_option(capsys, tmp_path, opti
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"error: InvalidParams: {option}: {field} must be >= 1, got 0\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["train", "--min-leaf", "0"], "ValueError: --min-leaf: min_leaf must be >= 1, got 0"),
+     (["evaluate", "--min-leaf", "-3"], "ValueError: --min-leaf: min_leaf must be >= 1, got -3"),
+     (["evaluate", "--fraction", "1.5"], "InvalidFraction: --fraction: train_fraction must be in (0, 1), got 1.5"),
+     (["evaluate", "--fraction", "0"], "InvalidFraction: --fraction: train_fraction must be in (0, 1), got 0.0")],
+    ids=["train-min-leaf", "evaluate-min-leaf", "fraction-above-1", "fraction-0"],
+)
+def test_a_bad_min_leaf_or_fraction_is_named_by_its_option(capsys, tmp_path, argv, message):
+    ds = make_dataset(tmp_path)
+    capsys.readouterr()
+    assert run([argv[0], "--in", str(ds), *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("min_leaf", [[], ["--min-leaf", "0"]], ids=["default", "min-leaf-0"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_label_only_dataset_is_named_before_the_min_leaf(capsys, tmp_path, command, min_leaf):
+    ds = tmp_path / "labels.csv"
+    ds.write_text("SAC_Strength\n5\n6\n5\n6\n")
+    column = {"name": "SAC_Strength", "kind": "nominal", "domain": ["5", "6"]}
+    schema = {"label": "SAC_Strength", "columns": [column]}
+    (tmp_path / "labels.schema.json").write_text(json.dumps(schema))
+    assert run([command, "--in", str(ds), *min_leaf]) == 1
+    assert capsys.readouterr() == ("", "error: ValueError: schema has no non-label attributes\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["reliability", "--in", PANEL],
+      "alpha 0.859\nestimator population\n"
+      "sum_item_variance 0.056351729999999996\ntotal_score_variance 0.17992929000000005\n"),
+     (["reliability", "--in", PANEL, "--estimator", "paper-mixed"],
+      "alpha 0.815\nestimator paper-mixed\n"
+      "sum_item_variance 0.06261303333333333\ntotal_score_variance 0.17992929000000005\n"),
+     (["evaluate", "--in", "{ds}"], "accuracy 0.7142857142857143\nrmse 0.23904572186687872\n")],
+    ids=["reliability", "reliability-paper-mixed", "evaluate"],
+)
+def test_the_text_artifacts_of_reliability_and_evaluate(tmp_path, argv, text):
+    ds = make_dataset(tmp_path, seed=1, n=25)
+    out = tmp_path / "report.txt"
+    argv = [arg.replace("{ds}", str(ds)) for arg in argv]
+    assert run(argv + ["--format", "text", "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
 
 
 def files_under(root):

@@ -383,6 +383,19 @@ class TestPredict:
             with pytest.raises(SchemaMismatch):
                 data.with_instances([Instance((value, 5, "1"), "5")])
 
+    @pytest.mark.parametrize(
+        "values, label, message",
+        [((90.0, 5), "5", "instance has 2 values, schema has 3"),
+         ((90.0, 5, "3"), "5", "sem_no: '3' not in domain ('1', '2')"),
+         ((90.0, 5, "1"), "11", "label '11' not in ('1', '2', '3', '4', '5', '6', '7', '8', '9', '10')")],
+        ids=["short-row", "nominal-value", "label"],
+    )
+    def test_a_dataset_built_in_code_checks_each_instance(self, values, label, message):
+        data = generate_rule_labeled_dataset(RULE_THRESHOLDS, 59, seed=7)
+        with pytest.raises(SchemaMismatch) as caught:
+            Dataset(data.attributes, data.label, (Instance(values, label),))
+        assert str(caught.value) == message
+
 
 # --- rules -----------------------------------------------------------------------
 
