@@ -213,6 +213,8 @@ def _score_rows_from_input(args):
                 )
         return ingest.module_input_rows(args.infile)
     weeks = 11 if args.weeks is None else args.weeks
+    if weeks < 1:
+        raise ValueError(f"--weeks: weeks_total must be >= 1, got {weeks}")
     winners = _read_events(args.infile, weeks, sys.stderr)
     roster = None if args.roster is None else ingest.read_roster_csv(args.roster)
     records, rejections = ingest.aggregate_event_map(winners, roster, weeks)

@@ -4,13 +4,14 @@ Raw event logs are noisy: duplicated scans, contradictory rows for the
 same student-week, malformed fields. Everything dropped or rewritten is
 counted in a :class:`CleaningReport`; nothing disappears silently.
 
-The CLI streams an events CSV straight into an event map, ``key -> present``
-(:func:`read_event_map`), with no object per row. :func:`parse_events`,
-:func:`clean_events`, :func:`aggregate` and :func:`write_events_csv` take
-the same steps over :class:`AttendanceEvent` lists. Both paths share one
-function per rule: row validation, the present-wins dedupe and the weekly
-tally. Both hold each distinct id as one shared string, however many rows
-name it.
+The CLI streams an events CSV straight into an event map (:func:`read_event_map`)
+with no object per row: one register per module, semester and week, each
+``student_id -> present``, the registers and the students of each in
+first-seen order. :func:`parse_events`, :func:`clean_events`, :func:`aggregate`
+and :func:`write_events_csv` take the same steps over :class:`AttendanceEvent`
+lists. Both paths share one function per rule: row validation, the
+present-wins dedupe and the weekly tally. Both hold each distinct id as one
+shared string, however many rows name it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
@@ -37,9 +39,10 @@ AGGREGATE_HEADER = MODULE_INPUT_HEADER + ("sac", "sac_strength")
 #: builds the pure-Python indenting encoder anew.
 JSON_BATCH = 1024
 
-# An events log after cleaning: (module_code, semester, week, student_id) -> present.
-# Each distinct module code and student id is one string object, shared by its keys.
-EventMap = dict[tuple[str, int, int, str], bool]
+# An events log after cleaning, one register per module, semester and week:
+# (module_code, semester, week) -> {student_id: present}. Each distinct module
+# code and student id is one string object, shared by its registers.
+EventMap = dict[tuple[str, int, int], dict[str, bool]]
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ def parse_events(stream) -> tuple[list[AttendanceEvent], CleaningReport]:
     report = CleaningReport()
     events = [
         AttendanceEvent(student_id, module_code, semester, week, present)
-        for (module_code, semester, week, student_id), present in _valid_rows(stream, report)
+        for (module_code, semester, week), student_id, present in _valid_rows(stream, report)
     ]
     report.check()
     return events, report
@@ -128,8 +131,9 @@ def clean_events(events: list[AttendanceEvent]) -> tuple[list[AttendanceEvent], 
     sorted by key (module, semester, week, student), so the result is a
     pure function of the input set.
     """
-    winners, report = _dedupe(((event.key, event) for event in events), attrgetter("present"))
-    return [winners[key] for key in sorted(winners)], report
+    rows = (((e.module_code, e.semester, e.week_index), e.student_id, e) for e in events)
+    winners, report = _dedupe(rows, attrgetter("present"))
+    return [winner for _, _, winner in _sorted(winners)], report
 
 
 def aggregate(
@@ -147,19 +151,21 @@ def aggregate(
     (corrupt data is dropped, never clamped). Roster modules with no
     events at all are emitted flagged, with zero taken weeks.
     """
-    return _tally(((event.key, event.present) for event in events), roster, weeks_total)
+    groups = (((e.module_code, e.semester, e.week_index), e.present, (e.student_id,)) for e in events)
+    return _tally(groups, roster, weeks_total)
 
 
 def read_event_map(
     source, weeks_total: int | None = None
 ) -> tuple[EventMap, CleaningReport, CleaningReport]:
-    """Stream an events CSV straight into its event map, ``key -> present``.
+    """Stream an events CSV straight into its event map, one register per
+    ``(module_code, semester, week)``, each ``student_id -> present``.
 
     Rows are validated as :func:`parse_events` does and deduplicated as
-    :func:`clean_events` does, without an event object or list per row, so
-    memory grows with the distinct keys, not with the file; the keys of one
-    student or module share its id string. Returns the map in first-seen
-    order with the parse and the cleaning report. With
+    :func:`clean_events` does, with no object or key kept per row, so memory
+    grows with the distinct keys, not with the file. Returns the map, its
+    registers and each one's students in first-seen order, with the parse
+    and the cleaning report. With
     ``weeks_total``, a valid row for a later week raises WeekOutOfRange
     naming its line.
     """
@@ -174,7 +180,8 @@ def aggregate_event_map(
     winners: EventMap, roster: list[RosterEntry] | None = None, weeks_total: int = 11
 ) -> tuple[list[ModuleTermRecord], list[str]]:
     """:func:`aggregate` over an event map from :func:`read_event_map`, unsorted."""
-    return _tally(winners.items(), roster, weeks_total)
+    groups = ((group, sum(students.values()), students) for group, students in winners.items())
+    return _tally(groups, roster, weeks_total)
 
 
 # --- the rules: row validation, present-wins dedupe, weekly tally ----------
@@ -199,7 +206,8 @@ def _week_beyond(module_code: str, week: int, weeks_total: int) -> WeekOutOfRang
 
 def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf):
     """Each valid row of the events table ``source``, any source that
-    :func:`tables.read` takes, as ``(key, present)``, in file order.
+    :func:`tables.read` takes, as ``((module_code, semester, week),
+    student_id, present)``, in file order.
 
     The header must be :data:`EVENTS_HEADER`. Every other row is counted in
     ``report`` under its first defect; a valid row for a week beyond
@@ -246,7 +254,7 @@ def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf):
                 raise _week_beyond(module_code, week, weeks_total)
             report.rows_kept += 1
             module_code = ids.setdefault(module_code, module_code)
-            yield (module_code, semester, week, ids.setdefault(student_id, student_id)), present
+            yield (module_code, semester, week), ids.setdefault(student_id, student_id), present
 
 
 def _week(cell: str) -> int:
@@ -257,56 +265,56 @@ def _week(cell: str) -> int:
         return 0
 
 
-def _dedupe(pairs, present=bool) -> tuple[dict, CleaningReport]:
-    """Keep one value per key from ``(key, value)`` pairs: the first seen,
+def _dedupe(rows, present=bool) -> tuple[dict, CleaningReport]:
+    """Keep one value per key from ``(group, student_id, value)`` rows, as
+    ``group -> {student_id: value}`` in first-seen order: the first seen,
     unless a later one is present where it is absent. ``present`` reads a
     value's status; it is called only for a key seen before."""
     winners: dict = {}
     conflicts: set = set()
-    rows = 0
-    for rows, (key, value) in enumerate(pairs, 1):
-        winner = winners.setdefault(key, value)
+    read = 0
+    for read, (group, student_id, value) in enumerate(rows, 1):
+        students = winners.setdefault(group, {})
+        winner = students.setdefault(student_id, value)
         if winner is not value and present(winner) != present(value):
-            conflicts.add(key)
+            conflicts.add((group, student_id))
             if present(value):
-                winners[key] = value
-    report = CleaningReport(
-        rows_read=rows,
-        rows_kept=len(winners),
-        duplicates_dropped=rows - len(winners),
-        conflicts_resolved=len(conflicts),
-    )
+                students[student_id] = value
+    kept = sum(map(len, winners.values()))
+    report = CleaningReport(read, kept, read - kept, len(conflicts))
     report.check()
     return winners, report
 
 
-def _tally(pairs, roster: list[RosterEntry] | None, weeks_total: int):
-    """:func:`aggregate` over ``(key, present)`` pairs in any order."""
+def _sorted(winners: dict):
+    """Each ``(group, student_id, value)`` of a map from :func:`_dedupe`, by group, then student."""
+    for group, students in sorted(winners.items()):
+        for student_id in sorted(students):
+            yield group, student_id, students[student_id]
+
+
+def _tally(groups, roster: list[RosterEntry] | None, weeks_total: int):
+    """:func:`aggregate` over ``(group, present count, student ids)`` triples, in any order."""
     _week_limit(weeks_total)
     roster_map = {(entry.module_code, entry.semester): entry.registered for entry in roster or []}
 
-    present: dict[tuple[str, int], dict[int, int]] = {}
-    students: dict[tuple[str, int], set[str]] = {}
-    for (module_code, semester, week, student_id), attended in pairs:
+    present = defaultdict(Counter)  # (module_code, semester) -> week -> present count
+    students = defaultdict(set)  # (module_code, semester) -> student ids, unless on the roster
+    for (module_code, semester, week), attended, student_ids in groups:
         if week > weeks_total:
             raise _week_beyond(module_code, week, weeks_total)
-        key = (module_code, semester)
-        weeks = present.get(key)
-        if weeks is None:
-            weeks = present[key] = {}
-            students[key] = set()
-        weeks[week] = weeks.get(week, 0) + attended
-        students[key].add(student_id)
+        present[module_code, semester][week] += attended
+        if (module_code, semester) not in roster_map:
+            students[module_code, semester].update(student_ids)
 
-    keys = sorted(set(present) | set(roster_map))
     records: list[ModuleTermRecord] = []
     rejections: list[str] = []
-    for key in keys:
+    for key in sorted(present.keys() | roster_map.keys()):
         module_code, semester = key
         if key not in present:
             records.append(ModuleTermRecord(module_code, semester, weeks_total, ()))
             continue
-        registered = roster_map.get(key, len(students[key]))
+        registered = roster_map[key] if key in roster_map else len(students[key])
         observations = []
         for week, attended in sorted(present[key].items()):
             if attended > registered:
@@ -325,20 +333,20 @@ def _tally(pairs, roster: list[RosterEntry] | None, weeks_total: int):
 
 
 def write_events_csv(events: list[AttendanceEvent], fh) -> None:
-    _write_events(((event.key, event.present) for event in events), fh)
+    _write_events((((e.module_code, e.semester, e.week_index), e.student_id, e.present) for e in events), fh)
 
 
 def write_event_map_csv(winners: EventMap, fh) -> None:
     """Write an event map as cleaned events, sorted by key as :func:`clean_events` sorts."""
-    _write_events(((key, winners[key]) for key in sorted(winners)), fh)
+    _write_events(_sorted(winners), fh)
 
 
-def _write_events(pairs, fh) -> None:
+def _write_events(rows, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(EVENTS_HEADER)
     writer.writerows(
         (student_id, module_code, semester, week, "present" if present else "absent")
-        for (module_code, semester, week, student_id), present in pairs
+        for (module_code, semester, week), student_id, present in rows
     )
 
 
@@ -408,18 +416,10 @@ def write_aggregate_csv(rows: list[tuple], fh) -> None:
     """Write scored rows: attend_avg to 1 decimal, sac to 3, blanks when flagged."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(AGGREGATE_HEADER)
-    for module_code, semester, weeks, taken, avg, value, strength in rows:
-        writer.writerow(
-            [
-                module_code,
-                semester,
-                weeks,
-                taken,
-                "" if avg is None else f"{avg:.1f}",
-                "" if value is None else f"{value:.3f}",
-                strength,
-            ]
-        )
+    writer.writerows(
+        (code, semester, weeks, taken, "" if avg is None else f"{avg:.1f}", "" if value is None else f"{value:.3f}", bin_)
+        for code, semester, weeks, taken, avg, value, bin_ in rows
+    )
 
 
 def write_aggregate_json(rows, fh) -> None:

@@ -1,7 +1,8 @@
 """The one CSV reading layer that every sacmine input table goes through.
 
 Tables are UTF-8 (a leading byte-order mark is dropped) in the ``csv``
-default dialect, so fields may be quoted. The header is trimmed and blank
+default dialect, read strictly, so fields may be quoted but a quote left
+open is an error. The header is trimmed and blank
 rows skipped. :meth:`Table.rows` trims the cells it yields; iterating a
 table yields each row's raw ``csv`` cells, for a reader that trims only the
 cells it checks. Readers keep only their own format rule and raise plain
@@ -82,7 +83,7 @@ def read(source):
         if not isinstance(source, io.TextIOBase):
             source = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
             stack.callback(source.detach)
-        reader = csv.reader(source)
+        reader = csv.reader(source, strict=True)
         try:
             yield Table(reader)
         except csv.Error as exc:

@@ -348,7 +348,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "weeks, message",
         [([], "WeekOutOfRange: {events}:4: M1 week 12 beyond weeks_total 11"),
-         (["--weeks", "0"], "ValueError: weeks_total must be >= 1, got 0")],
+         (["--weeks", "0"], "ValueError: --weeks: weeks_total must be >= 1, got 0")],
         ids=["default-weeks", "weeks-0"],
     )
     def test_score_names_the_line_of_a_week_beyond_weeks(self, capsys, tmp_path, weeks, message):
@@ -395,6 +395,17 @@ class TestMalformedInputs:
             assert run([command, "--in", str(events)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: MalformedInput: ") and "events.csv:3: field larger" in err
+
+    def test_an_unmatched_quote_is_malformed_input(self, capsys, tmp_path):
+        # A quote left open must not swallow the rows after it into one rejected row.
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "student_id,module_code,semester,week,status\n"
+            '"s0,M1,1,1,present\ns1,M1,1,1,present\ns2,M1,1,1,present\ns3,M1,1,1,absent\n'
+        )
+        for command in ("ingest", "score"):
+            assert run([command, "--in", str(events)]) == 1
+            assert capsys.readouterr() == ("", f"error: MalformedInput: {events}:5: unexpected end of data\n")
 
     def test_invalid_utf8_names_its_line(self, capsys, tmp_path):
         panel = tmp_path / "panel.csv"
@@ -990,6 +1001,14 @@ def test_gen_events_names_a_count_below_one_by_its_option(capsys, tmp_path, opti
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"error: InvalidParams: {option}: {field} must be >= 1, got 0\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("weeks", ["0", "-3"])
+def test_score_names_a_weeks_below_one_by_its_option(capsys, tmp_path, weeks):
+    events = tmp_path / "events.csv"
+    events.write_text("student_id,module_code,semester,week,status\ns1,M1,1,1,present\n")
+    assert run(["score", "--in", str(events), "--weeks", weeks]) == 1
+    assert capsys.readouterr() == ("", f"error: ValueError: --weeks: weeks_total must be >= 1, got {weeks}\n")
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,14 @@ def test_the_row_loop_keeps_the_documented_rules(text):
 
     assert parsed == ref_parsed
     assert cleaning == ref_cleaning
-    assert list(winners) == list(dict.fromkeys(event.key for event in events))
-    assert winners == {event.key: event.present for event in ref_cleaned}
+    first_seen: dict = {}
+    for event in events:
+        first_seen.setdefault(event.key[:3], {})[event.student_id] = None
+    assert [(group, list(students)) for group, students in winners.items()] == [
+        (group, list(students)) for group, students in first_seen.items()
+    ]
+    cleaned: dict = {}
+    for event in ref_cleaned:
+        cleaned.setdefault(event.key[:3], {})[event.student_id] = event.present
+    assert winners == cleaned
     assert ingest.parse_events(text) == (events, ref_parsed)

@@ -15,9 +15,19 @@ from sacmine.ingest import (
     read_event_map,
     score_rows,
     write_aggregate_csv,
+    write_event_map_csv,
 )
 
 HEADER = "student_id,module_code,semester,week,status\n"
+
+
+class NullSink:
+    """A text sink that keeps nothing but a count of the lines written to it."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
 
 
 def ev(student="s1", module="M1", semester=1, week=1, present=True):
@@ -133,7 +143,7 @@ class TestEventMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert winners == {("M1", 1, 1, "s1"): True}
+        assert winners == {("M1", 1, 1): {"s1": True}}
         assert (parsed.rows_kept, cleaning.duplicates_dropped) == (50_000, 49_999)
         assert peak < 2**20
 
@@ -152,7 +162,7 @@ class TestEventMap:
     def test_each_distinct_id_is_one_string_object(self, tmp_path):
         events = self.write_log(tmp_path / "events.csv", students=30, modules=4, weeks=3)
         winners = read_event_map(events)[0]
-        ids = [key[i] for key in winners for i in (0, 3)]
+        ids = [s for group, students in winners.items() for s in (group[0], *students)]
         assert len(set(ids)) == 34
         assert len({id(s) for s in ids}) == len(set(ids))
         parsed = parse_events(events)[0]
@@ -160,8 +170,9 @@ class TestEventMap:
         assert len({id(s) for s in ids}) == len(set(ids)) == 34
 
     def test_memory_per_distinct_key_is_the_key_and_its_map_entry(self, tmp_path):
-        # 20k keys over 200 students and 10 modules: about 105 bytes a key
-        # when the ids are shared, about 225 when each row holds its own copies.
+        # 20k keys over 200 students, 10 modules and 10 weeks, in 100 registers:
+        # about 37 bytes a key, one entry in its register's student map; about
+        # 105 when each key is a tuple of its own in one flat map.
         events = self.write_log(tmp_path / "events.csv")
         tracemalloc.start()
         try:
@@ -169,8 +180,24 @@ class TestEventMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(winners) == 20_000
-        assert peak / len(winners) < 150
+        keys = sum(map(len, winners.values()))
+        assert (len(winners), keys) == (100, 20_000)
+        assert peak / keys < 60
+
+    def test_writing_a_map_holds_no_list_of_its_keys(self, tmp_path):
+        # Four times the registers, of 400 students each, within twice the peak.
+        peaks = []
+        for modules in (4, 16):
+            winners = read_event_map(self.write_log(tmp_path / "events.csv", 400, modules, 10))[0]
+            sink = NullSink()
+            tracemalloc.start()
+            try:
+                write_event_map_csv(winners, sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sink.lines == 1 + 400 * modules * 10
+        assert peaks[1] < 2 * peaks[0]
 
 
 class TestAggregate:

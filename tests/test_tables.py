@@ -32,6 +32,12 @@ def test_bad_utf8_names_its_line_past_the_first_chunk(bad_line):
         parse_events(HEADER.encode() + b"".join(rows))
 
 
+def test_a_quote_left_open_is_malformed_input_at_the_end_of_data():
+    source = HEADER + '"s0,M1,1,1,present\ns1,M1,1,1,present\ns2,M1,1,1,absent\n'
+    with pytest.raises(MalformedInput, match="^<input>:4: unexpected end of data$"):
+        parse_events(source)
+
+
 def test_row_errors_name_the_line_of_the_row():
     source = "a,b\n1,2\n\n3,x\n"
     with pytest.raises(SchemaMismatch, match=re.escape("<input>:4: b: expected a finite number, got 'x'")):
