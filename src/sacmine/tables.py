@@ -1,12 +1,12 @@
 """The one CSV reading layer that every sacmine input table goes through.
 
 Tables are UTF-8 (a leading byte-order mark is dropped) in the ``csv``
-default dialect, read strictly, so fields may be quoted but a quote left
-open is an error. The header is trimmed and blank
-rows skipped. :meth:`Table.rows` trims the cells it yields; iterating a
-table yields each row's raw ``csv`` cells, for a reader that trims only the
-cells it checks. Readers keep only their own format rule and raise plain
-domain errors; this layer adds the ``file:line`` of the row.
+default dialect, read strictly: fields may be quoted, but a quote left open
+is an error. The header is trimmed and blank rows skipped. :meth:`Table.rows`
+trims the cells it yields; iterating a table yields each row's raw ``csv``
+cells, for a reader that trims only the cells it checks. Readers keep only
+their own format rule and raise plain domain errors; this layer adds the
+``file:line`` of the row.
 """
 
 from __future__ import annotations
