@@ -305,9 +305,8 @@ def _cmd_evaluate(args, out=None) -> None:
     _mode_options(args, "evaluate without --model", args.model is None,
                   fraction=0.70, seed=0, criterion="gain-ratio", min_leaf=2)
     if args.model is not None:
-        tree, attributes, label = dtree.load_model(args.model)
-        rows = dtree.labelled_rows(args.infile, attributes, label)
-        report = dtree.NodeTable(tree).evaluate(rows, label.domain)
+        table = dtree.NodeTable(*dtree.load_model(args.model))
+        report = table.evaluate(dtree.labelled_rows(args.infile, table.attributes, table.label))
         sizes = {"train": None, "test": sum(map(sum, report.confusion))}
     else:
         data = dtree.read_dataset_csv(args.infile)
@@ -330,21 +329,20 @@ def _cmd_evaluate(args, out=None) -> None:
 
 
 def _cmd_predict(args, out=None) -> None:
-    from . import dtree
+    from . import dtree, tables
 
-    tree, attributes, label = dtree.load_model(args.model)
-    table = dtree.NodeTable(tree)
+    table = dtree.NodeTable(*dtree.load_model(args.model))
     # The class and confidence cells of each leaf; csv writes a float as its repr.
     tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
     n = 0
     if out is not None:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([a.name for a in attributes] + ["predicted", "confidence"])
-    for chunk in dtree.chunks(dtree.instance_rows(args.infile, attributes)):
+        writer.writerow([a.name for a in table.attributes] + ["predicted", "confidence"])
+    for chunk in tables.chunks(dtree.instance_rows(args.infile, table.attributes)):
         leaf_ids = table.route(chunk)
         for row, j in zip(chunk[: max(10 - n, 0)], leaf_ids):
             leaf = table.leaves[j]
-            print(f"{row} -> {label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
+            print(f"{row} -> {table.label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
         n += len(chunk)
         if out is not None:
             writer.writerows(map(operator.add, chunk, map(tails.__getitem__, leaf_ids)))

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain
 from operator import add, itemgetter
 from pathlib import Path
 
@@ -107,8 +107,8 @@ class Dataset:
             raise ValueError(f"duplicate column names: {names}")
         if self.label.kind != NOMINAL:
             raise ValueError("label must be nominal")
-        # The CSV readers check each row as they read it, with its file:line,
-        # so this check catches only instances built in code.
+        # Every instance is checked, built in code or not: read_dataset_csv's rows and
+        # both halves of split_dataset too, though the CSV readers checked them first.
         object.__setattr__(self, "instances", tuple(map(self._validate, self.instances)))
 
     def _validate(self, inst: Instance) -> Instance:
@@ -186,19 +186,19 @@ def _preorder(tree: TreeNode):
 class NodeTable:
     """A tree's ``splits`` and ``leaves`` in preorder, for routing many rows.
 
-    Given a schema, it also checks that every node fits it, and raises
-    SchemaMismatch where one does not: a split must name the attribute at
-    its index and have a numeric threshold or a branch per domain value, a
-    leaf must cover ``n >= 1`` rows and give each class of the label a
-    probability in [0, 1]."""
+    It checks that every node fits the schema ``attributes`` and ``label``,
+    and raises SchemaMismatch where one does not: a split must name the
+    attribute at its index and have a numeric threshold or a branch per
+    domain value, a leaf must cover ``n >= 1`` rows and give each class of
+    the label a probability in [0, 1]."""
 
-    def __init__(self, tree: TreeNode, attributes=None, label: AttributeSpec | None = None):
-        self.root = tree
+    def __init__(self, tree: TreeNode, attributes, label: AttributeSpec):
+        self.root, self.attributes, self.label = tree, attributes, label
         self.splits: list[Split] = []
         self.leaves: list[Leaf] = []
         for node, _ in _preorder(tree):
             if isinstance(node, Leaf):
-                if label is not None and not (
+                if not (
                     node.label in node.distribution
                     and type(node.n) is int and node.n >= 1
                     and all(c in label.domain and _is_number(p) and 0 <= p <= 1
@@ -207,15 +207,14 @@ class NodeTable:
                     raise SchemaMismatch(f"leaf {node.label!r} does not fit label {label.name!r}")
                 self.leaves.append(node)
                 continue
-            if attributes is not None:
-                known = isinstance(node.index, int) and 0 <= node.index < len(attributes)
-                spec = attributes[node.index] if known else None
-                if spec is None or spec.name != node.attribute or not (
-                    _is_number(node.threshold)
-                    if spec.kind == NUMERIC
-                    else isinstance(node.branches, dict) and set(node.branches) == set(spec.domain)
-                ):
-                    raise SchemaMismatch(f"split on {node.attribute!r} does not fit the schema")
+            known = isinstance(node.index, int) and 0 <= node.index < len(self.attributes)
+            spec = self.attributes[node.index] if known else None
+            if spec is None or spec.name != node.attribute or not (
+                _is_number(node.threshold)
+                if spec.kind == NUMERIC
+                else isinstance(node.branches, dict) and set(node.branches) == set(spec.domain)
+            ):
+                raise SchemaMismatch(f"split on {node.attribute!r} does not fit the schema")
             self.splits.append(node)
         # A leaf placed twice in the tree takes the number of its last place.
         self._number = {id(leaf): j for j, leaf in enumerate(self.leaves)}
@@ -238,17 +237,17 @@ class NodeTable:
             reached.append(node)
         return list(map(self._number.__getitem__, map(id, reached)))
 
-    def evaluate(self, rows, domain) -> EvalReport:
+    def evaluate(self, rows) -> EvalReport:
         """:func:`evaluate` of ``rows``, each a row of values whose last cell
-        is its true class, routed :data:`CHUNK` rows at a time.
+        is its true class, routed :data:`tables.CHUNK` rows at a time.
 
         The K squared errors of each (leaf, true class) pair are computed once,
         but summed in one running sum, row by row and class by class, carried
         from chunk to chunk, so the RMSE is bit for bit the one of a loop over rows."""
         counts: Counter = Counter()
         terms: dict[tuple[int, str], list[float]] = {}
-        sq = 0.0
-        for chunk in chunks(rows):
+        domain, sq = self.label.domain, 0.0
+        for chunk in tables.chunks(rows):
             pairs = list(zip(self.route(chunk), map(itemgetter(-1), chunk)))
             counts.update(pairs)
             for j, truth in set(pairs).difference(terms):
@@ -272,7 +271,7 @@ class NodeTable:
             accuracy=correct / n,
             rmse=math.sqrt(sq / (n * k)),
             confusion=tuple(tuple(row) for row in confusion),
-            classes=tuple(domain),
+            classes=domain,
         )
 
 
@@ -601,17 +600,16 @@ class RuleSet:
 
 
 def _merge_conditions(conds: list[Condition]) -> tuple[Condition, ...]:
-    # one bound per (attribute, op), where it first appears: <= keeps the smallest, > the largest
-    best: dict[tuple[int, str], Condition] = {}
+    # one condition per (attribute, op), where it first appears: <= keeps the smallest,
+    # > the largest; an = is keyed by its value too, so only equal tests merge
+    best: dict[tuple, Condition] = {}
     for c in conds:
-        key = (c.index, c.op)
+        key = (c.index, c.op, c.value) if c.op == "=" else (c.index, c.op)
         if key not in best:
             best[key] = c
         elif c.op == "<=" and c.value < best[key].value:
             best[key] = c
         elif c.op == ">" and c.value > best[key].value:
-            best[key] = c
-        elif c.op == "=":
             best[key] = c
     return tuple(best.values())
 
@@ -620,9 +618,11 @@ def extract_rules(tree: TreeNode) -> RuleSet:
     """One rule per leaf, in left-to-right leaf order.
 
     Conditions follow the root-to-leaf path with redundant bounds on the
-    same attribute merged down to the tightest one. Coverage is the leaf's
-    training count and confidence the leaf's majority-class fraction, so
-    first-match classification over the rules reproduces the tree.
+    same attribute merged down to the tightest one, and equal tests into
+    one; two values tested on one attribute both stay, so that rule matches
+    no row. Coverage is the leaf's training count and confidence the leaf's
+    majority-class fraction, so first-match classification over the rules
+    reproduces the tree.
     """
     rules = [
         Rule(_merge_conditions(conds), node.label, node.n, node.distribution[node.label])
@@ -655,7 +655,7 @@ def evaluate(tree: TreeNode, test: Dataset) -> EvalReport:
     the set's rows, already checked by :class:`Dataset`, then route unchecked.
     """
     table = NodeTable(tree, test.attributes, test.label)
-    return table.evaluate((inst.values + (inst.label,) for inst in test.instances), test.label.domain)
+    return table.evaluate(inst.values + (inst.label,) for inst in test.instances)
 
 
 def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -836,9 +836,7 @@ def write_dataset(data: Dataset, fh, schema_fh) -> None:
     schema_fh.write(json.dumps(schema_to_json(data.attributes, data.label), indent=2) + "\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([a.name for a in data.attributes] + [data.label.name])
-    for inst in data.instances:
-        row = [repr(v) if isinstance(v, float) else v for v in inst.values]
-        writer.writerow(row + [inst.label])
+    writer.writerows(inst.values + (inst.label,) for inst in data.instances)
 
 
 def write_dataset_csv(data: Dataset, csv_path) -> None:
@@ -911,14 +909,3 @@ def read_instances_csv(csv_path, attributes) -> list[tuple]:
     """All of :func:`instance_rows` as a list."""
     return list(instance_rows(csv_path, attributes))
 
-
-#: The rows the apply path holds at a time: ``predict`` and ``evaluate --model``
-#: route and score one chunk of this many rows before they read the next.
-CHUNK = 1024
-
-
-def chunks(rows):
-    """Consecutive lists of :data:`CHUNK` rows of the iterable ``rows``; the last may be shorter."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, CHUNK)):
-        yield chunk

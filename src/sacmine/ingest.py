@@ -21,7 +21,6 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -34,10 +33,6 @@ EVENTS_HEADER = ("student_id", "module_code", "semester", "week", "status")
 ROSTER_HEADER = ("module_code", "semester", "registered")
 MODULE_INPUT_HEADER = ("module_code", "semester", "weeks_total", "attendance_taken", "attend_avg")
 AGGREGATE_HEADER = MODULE_INPUT_HEADER + ("sac", "sac_strength")
-
-#: Rows per ``json.dumps`` call of :func:`write_aggregate_json`; each call
-#: builds the pure-Python indenting encoder anew.
-JSON_BATCH = 1024
 
 # An events log after cleaning, one register per module, semester and week:
 # (module_code, semester, week) -> {student_id: present}. Each distinct module
@@ -358,7 +353,7 @@ def read_roster_csv(path) -> list[RosterEntry]:
         for module_code, semester_s, registered in table.rows(ROSTER_HEADER, {2: int}):
             semester = _SEMESTERS.get(semester_s)
             if not module_code or semester is None:
-                raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s!r}")
+                raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s}")
             if (module_code, semester) in entries:
                 raise SchemaMismatch(f"duplicate row for {module_code} semester {semester}")
             entries[module_code, semester] = RosterEntry(module_code, semester, registered)
@@ -424,11 +419,11 @@ def write_aggregate_csv(rows: list[tuple], fh) -> None:
 
 def write_aggregate_json(rows, fh) -> None:
     """Write scored rows, unrounded, as ``json.dumps(objects, indent=2) + "\\n"`` does,
-    one object per row: each :data:`JSON_BATCH` rows are encoded by one call and
-    written without their brackets, inside one ``[`` ... ``]``."""
-    rows = iter(rows)
+    one object per row: each :data:`tables.CHUNK` rows are encoded by one call
+    (each call builds the pure-Python indenting encoder anew) and written
+    without their brackets, inside one ``[`` ... ``]``."""
     opening = "[\n"
-    while batch := [dict(zip(AGGREGATE_HEADER, row)) for row in islice(rows, JSON_BATCH)]:
-        fh.write(opening + json.dumps(batch, indent=2)[2:-2])
+    for chunk in tables.chunks(rows):
+        fh.write(opening + json.dumps([dict(zip(AGGREGATE_HEADER, row)) for row in chunk], indent=2)[2:-2])
         opening = ",\n"
     fh.write("[]\n" if opening == "[\n" else "\n]\n")

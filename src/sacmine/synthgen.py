@@ -143,16 +143,11 @@ def generate_rule_labeled_dataset(
             )
         bands.append((lo, hi, str(10 - i)))
 
-    def label_for(value: float) -> str:
-        for rank, t in enumerate(thresholds):
-            if value > t:
-                return str(10 - rank)
-        return str(10 - len(thresholds))
-
+    # each sample lies in its band, at least margin from every threshold, so it takes the band's label
     rng = Generator(seed)
     instances = []
     for i in range(n):
-        lo, hi, _ = bands[i % len(bands)]
+        lo, hi, strength = bands[i % len(bands)]
         pass_no = i // len(bands)
         if pass_no == 0:
             avg = lo
@@ -162,7 +157,7 @@ def generate_rule_labeled_dataset(
             avg = rng.uniform(lo, hi)
         taken = rng.integers(1, 12)
         sem = str(rng.integers(1, 3))
-        instances.append(Instance((avg, taken, sem), label_for(avg)))
+        instances.append(Instance((avg, taken, sem), strength))
 
     attributes = (
         AttributeSpec("attend_avg", "numeric"),

@@ -6,7 +6,8 @@ is an error. The header is trimmed and blank rows skipped. :meth:`Table.rows`
 trims the cells it yields; iterating a table yields each row's raw ``csv``
 cells, for a reader that trims only the cells it checks. Readers keep only
 their own format rule and raise plain domain errors; this layer adds the
-``file:line`` of the row.
+``file:line`` of the row. It also sets how many rows a streaming command
+holds at a time: :data:`CHUNK`, cut by :func:`chunks`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,20 @@ import csv
 import io
 import math
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
+from itertools import islice
 
 from .errors import Error, MalformedInput, MissingHeader, SchemaMismatch
+
+#: The rows that ``predict``, ``evaluate --model`` and ``score --format json`` hold at a time.
+CHUNK = 1024
+
+
+def chunks(rows):
+    """Consecutive lists of :data:`CHUNK` rows of the iterable ``rows``; the last may be shorter."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK)):
+        yield chunk
 
 
 class Table:
@@ -73,7 +85,9 @@ def read(source):
     """Open ``source`` as a :class:`Table`: a path (``os.PathLike``), CSV
     text (``str``), ``bytes``, or a binary or text handle, streamed, not
     copied. Bad UTF-8 and ``csv`` faults raise MalformedInput; any domain
-    error or ValueError raised while the table is read gains ``file:line``."""
+    error or ValueError raised while the table is read gains ``file:line``:
+    for a ``csv`` fault, the line where its row begins if the source can
+    seek, else the line where the reader gave up (for an open quote, the last)."""
     with ExitStack() as stack:
         if isinstance(source, os.PathLike):
             source = stack.enter_context(open(source, "rb"))
@@ -83,11 +97,21 @@ def read(source):
         if not isinstance(source, io.TextIOBase):
             source = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
             stack.callback(source.detach)
+        start = None
+        with suppress(OSError):  # a text handle that next() has read from cannot tell
+            start = source.tell() if source.seekable() else None
         reader = csv.reader(source, strict=True)
         try:
             yield Table(reader)
         except csv.Error as exc:
-            raise MalformedInput(f"{name}:{reader.line_num}: {exc}") from None
+            line = reader.line_num
+            if start is not None:  # read again, to the line after the last row that parses
+                source.seek(start)
+                reader, line = csv.reader(source, strict=True), 1
+                with suppress(csv.Error):
+                    for _ in reader:
+                        line = reader.line_num + 1
+            raise MalformedInput(f"{name}:{line}: {exc}") from None
         except UnicodeDecodeError as exc:
             # The undecodable chunk starts on the line after the last one read.
             line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)

@@ -1,11 +1,11 @@
 """``predict``, ``evaluate --model`` and module-input ``score`` read their input
-one chunk of ``dtree.CHUNK`` rows at a time.
+one chunk of ``tables.CHUNK`` rows at a time.
 
 Whatever the chunk size, and whether a file ends on a chunk boundary or not,
 each command writes what one pass over the whole file gives: the predictions
 of the nested tree, the report of ``tests/reference_evaluate.py`` bit for bit,
 and the scores of ``read_module_inputs_csv``; ``score --format json`` encodes
-``ingest.JSON_BATCH`` rows at a time and writes what one ``json.dumps`` of every
+``tables.CHUNK`` rows at a time and writes what one ``json.dumps`` of every
 row gives. A bad row in a later chunk still ends the run with its ``file:line``
 before anything reaches stdout or ``--out``, and memory does not grow with the
 number of rows.
@@ -22,7 +22,7 @@ import pytest
 from reference_evaluate import evaluate as reference_evaluate
 from reference_evaluate import leaf_of
 
-from sacmine import dtree, ingest
+from sacmine import dtree, ingest, tables
 from sacmine.cli import run
 from sacmine.dtree import NOMINAL, NUMERIC, AttributeSpec, Dataset, Instance
 
@@ -32,7 +32,7 @@ ATTRIBUTES = (
     AttributeSpec("y", NUMERIC),
 )
 LABEL = AttributeSpec("k", NOMINAL, ("a", "b", "c"))
-REAL_CHUNK = dtree.CHUNK
+REAL_CHUNK = tables.CHUNK
 SMALL_CHUNK = 4
 
 
@@ -111,7 +111,7 @@ def one_pass_score(path):
 def test_every_chunk_split_gives_the_one_pass_outputs(capsys, monkeypatch, tmp_path, model, chunk, rows):
     n = {"0": 0, "1": 1, "10": 10, "11": 11, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1,
          "2C+1": 2 * chunk + 1}[rows]
-    monkeypatch.setattr(dtree, "CHUNK", chunk)
+    monkeypatch.setattr(tables, "CHUNK", chunk)
     labelled = write_labelled(tmp_path, n)
     out = tmp_path / "predictions.csv"
 
@@ -137,11 +137,11 @@ def test_every_chunk_split_gives_the_one_pass_outputs(capsys, monkeypatch, tmp_p
     assert (capsys.readouterr().out, out.read_text(encoding="utf-8")) == one_pass_score(inputs)
 
 
-@pytest.mark.parametrize("batch", [SMALL_CHUNK, ingest.JSON_BATCH], ids=["small-batch", "real-batch"])
+@pytest.mark.parametrize("batch", [SMALL_CHUNK, REAL_CHUNK], ids=["small-batch", "real-batch"])
 @pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1", "2B+1"])
 def test_every_batch_split_gives_the_one_pass_json(capsys, monkeypatch, tmp_path, batch, rows):
     n = {"0": 0, "1": 1, "B-1": batch - 1, "B": batch, "B+1": batch + 1, "2B+1": 2 * batch + 1}[rows]
-    monkeypatch.setattr(ingest, "JSON_BATCH", batch)
+    monkeypatch.setattr(tables, "CHUNK", batch)
     inputs = write_module_inputs(tmp_path, n)
     out = tmp_path / "scores.json"
     assert run(["score", "--in", str(inputs), "--out", str(out), "--format", "json"]) == 0
@@ -156,7 +156,7 @@ def test_every_batch_split_gives_the_one_pass_json(capsys, monkeypatch, tmp_path
 def test_library_evaluate_in_chunks_gives_the_reference_report(monkeypatch, model, chunk):
     """``dtree.evaluate`` of a Dataset routes it a chunk at a time, and its
     report equals the one of ``tests/reference_evaluate.py`` bit for bit."""
-    monkeypatch.setattr(dtree, "CHUNK", chunk)
+    monkeypatch.setattr(tables, "CHUNK", chunk)
     route, routed = dtree.NodeTable.route, []
     monkeypatch.setattr(dtree.NodeTable, "route", lambda self, rows: routed.append(len(rows)) or route(self, rows))
     tree = dtree.load_model(model)[0]
@@ -197,8 +197,7 @@ def test_a_bad_row_in_a_later_chunk_prints_nothing_and_leaves_out_as_it_was(
     capsys, monkeypatch, tmp_path, model, command, chunk, n, bad
 ):
     assert bad > 10 and bad > chunk
-    monkeypatch.setattr(dtree, "CHUNK", chunk)
-    monkeypatch.setattr(ingest, "JSON_BATCH", chunk)
+    monkeypatch.setattr(tables, "CHUNK", chunk)
     argv, error = bad_row_case(command.removesuffix("-json"), tmp_path, model, n, bad)
     if command == "score-json":
         argv += ["--format", "json"]

@@ -291,8 +291,8 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "rows, fault",
         [(",1,20\n", "bad module_code"), ("M1,1,20\nM1,1,30\n", "duplicate row for M1 semester 1"),
-         ("M1,1,0\n", "M1: registered must be >= 1")],
-        ids=["empty-module-code", "duplicate-module-semester", "registered-0"],
+         ("M1,1,0\n", "M1: registered must be >= 1"), ("M1,3,5\n", "bad module_code or semester: 'M1',3\n")],
+        ids=["empty-module-code", "duplicate-module-semester", "registered-0", "semester-3"],
     )
     def test_score_rejects_bad_roster_rows(self, capsys, tmp_path, rows, fault):
         events = tmp_path / "events.csv"
@@ -405,7 +405,7 @@ class TestMalformedInputs:
         )
         for command in ("ingest", "score"):
             assert run([command, "--in", str(events)]) == 1
-            assert capsys.readouterr() == ("", f"error: MalformedInput: {events}:5: unexpected end of data\n")
+            assert capsys.readouterr() == ("", f"error: MalformedInput: {events}:2: unexpected end of data\n")
 
     def test_invalid_utf8_names_its_line(self, capsys, tmp_path):
         panel = tmp_path / "panel.csv"

@@ -1,10 +1,12 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sacmine.credibility import (
     ModuleTermRecord,
+    SacStrength,
     WeekObservation,
     attendance_average,
     sac,
@@ -187,6 +189,22 @@ class TestInvariants:
     def test_week_beyond_semester_rejected(self):
         with pytest.raises(ValueError):
             record([WeekObservation(12, 5, 20)], weeks_total=11)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: WeekObservation(0, 5, 20), "week_index must be >= 1, got 0"),
+            (lambda: WeekObservation(1, -1, 20), "attended must be >= 0, got -1"),
+            (lambda: record([], semester=3), "semester must be 1 or 2, got 3"),
+            (lambda: record([], weeks_total=0), "weeks_total must be >= 1, got 0"),
+            (lambda: SacStrength(0), "strength class must be in [1, 10], got 0"),
+            (lambda: SacStrength(11), "strength class must be in [1, 10], got 11"),
+        ],
+        ids=["week-0", "attended-negative", "semester-3", "weeks-total-0", "strength-0", "strength-11"],
+    )
+    def test_constructors_reject_out_of_range_fields(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_flagged_record_has_no_score(self):
         r = record([])

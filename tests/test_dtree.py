@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from sacmine.dtree import (
@@ -12,6 +13,7 @@ from sacmine.dtree import (
     Dataset,
     Instance,
     Leaf,
+    RuleSet,
     Split,
     build_tree,
     collect_splits,
@@ -25,9 +27,11 @@ from sacmine.dtree import (
     numeric_candidates,
     predict,
     rank_attributes,
+    read_dataset_csv,
     split_dataset,
     tree_from_json,
     tree_to_json,
+    write_dataset_csv,
 )
 from sacmine.errors import (
     BadThreshold,
@@ -397,6 +401,50 @@ class TestPredict:
         assert str(caught.value) == message
 
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: AttributeSpec("x", "ordinal"), "x: kind must be numeric or nominal"),
+            (lambda: AttributeSpec("g", "nominal"), "g: nominal attribute needs a domain"),
+            (lambda: AttributeSpec("g", "nominal", ("u", "u")), "g: domain values must be unique"),
+            (lambda: AttributeSpec("x", "numeric", ("u",)), "x: numeric attribute takes no domain"),
+            (lambda: Dataset((AttributeSpec("x", "numeric"),), AttributeSpec("x", "nominal", ("a",))),
+             "duplicate column names: ['x', 'x']"),
+            (lambda: Dataset((AttributeSpec("x", "numeric"),), AttributeSpec("y", "numeric")),
+             "label must be nominal"),
+        ],
+        ids=["unknown-kind", "nominal-without-domain", "repeated-domain-value", "numeric-with-domain",
+             "repeated-column-name", "numeric-label"],
+    )
+    def test_a_schema_built_in_code_is_checked(self, build, message):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: entropy([3, -1]), ValueError, "counts must be nonnegative, got -1"),
+            (lambda: info_gain(label_only_dataset([], ("a",)), "x", 1.0), EmptyDataset,
+             "gain needs a non-empty dataset"),
+            (lambda: build_tree(label_only_dataset(["a"], ("a",)), criterion="gini"), ValueError,
+             "criterion must be one of ('gain', 'gain_ratio'), got 'gini'"),
+            (lambda: predict(Split("g", 0, branches={"u": Leaf("a", {"a": 1.0}, 1)}), ("v",)),
+             SchemaMismatch, "g: no branch for 'v'"),
+            (lambda: RuleSet(()).classify((1.0,)), SchemaMismatch,
+             "no rule matched; rules are not from a complete tree"),
+            (lambda: split_dataset(label_only_dataset([], ("a",)), 0.5, seed=0), EmptyDataset,
+             "split_dataset needs a non-empty dataset"),
+        ],
+        ids=["negative-count", "gain-of-nothing", "unknown-criterion", "no-branch", "no-rule-matches",
+             "split-of-nothing"],
+    )
+    def test_library_calls_reject_bad_arguments(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 # --- rules -----------------------------------------------------------------------
 
 
@@ -453,6 +501,20 @@ class TestRules:
         middle = rules[1]
         ops = [(c.op, c.value) for c in middle.conditions]
         assert ops == [(">", 5.0), ("<=", 9.0)]
+
+    def test_a_nominal_attribute_tested_twice_keeps_both_values(self):
+        # load_model accepts this tree: each split has one branch per domain value.
+        # The path a = x, a = y reaches a leaf no row reaches, so its rule must
+        # match nothing, and first-match then agrees with predict on every row.
+        leaf = {c: Leaf(c, {c: 1.0}, 1) for c in "pqr"}
+        tree = Split("a", 0, branches={"x": Split("a", 0, branches={"x": leaf["p"], "y": leaf["q"]}),
+                                      "y": leaf["r"]})
+        ruleset = extract_rules(tree)
+        assert ruleset.to_text("cls") == [
+            "If a = x then cls = p", "If a = x and a = y then cls = q", "If a = y then cls = r"
+        ]
+        for value in "xy":
+            assert ruleset.classify((value,)) == predict(tree, (value,))[0]
 
     def test_rule_text_format(self):
         data = generate_rule_labeled_dataset(RULE_THRESHOLDS, 59, seed=7)
@@ -585,6 +647,15 @@ class TestSerialization:
         doc = json.dumps(tree_to_json(tree))
         again = json.dumps(tree_to_json(tree_from_json(json.loads(doc))))
         assert again == doc
+
+    def test_a_dataset_of_float64_values_reads_back_as_written(self, tmp_path):
+        # numpy's float64 is a float, so a Dataset takes it; the CSV must hold its plain digits.
+        specs = (AttributeSpec("x", "numeric"), AttributeSpec("g", "nominal", ("u", "v")))
+        label = AttributeSpec("label", "nominal", ("a", "b"))
+        values = [np.float64(1.5), np.float64(0.1), np.float64(5e-324), np.float64(1.7976931348623157e308)]
+        data = Dataset(specs, label, tuple(Instance((v, "uv"[i % 2]), "ab"[i % 2]) for i, v in enumerate(values)))
+        write_dataset_csv(data, tmp_path / "d.csv")
+        assert read_dataset_csv(tmp_path / "d.csv") == data
 
     def test_nominal_tree_round_trip(self):
         specs = (AttributeSpec("g", "nominal", ("u", "v")),)

@@ -73,6 +73,13 @@ class TestParse:
         assert report.rows_rejected == 5
         assert report.rows_read == report.rows_kept + report.duplicates_dropped + report.rows_rejected
 
+    def test_a_report_that_does_not_balance_fails_its_check(self):
+        _, report = parse_events(HEADER + "s1,M1,1,1,present\n")
+        report.check()
+        report.rows_kept += 1
+        with pytest.raises(AssertionError, match="^cleaning report does not balance: "):
+            report.check()
+
     def test_weeks_past_the_week_cache_are_read_the_same(self):
         cells = [f"{'0' * i}3" for i in range(1_100)] + ["x", " 4"]
         events, report = parse_events(HEADER + "".join(f"s1,M1,1,{cell},present\n" for cell in cells))

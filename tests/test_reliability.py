@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -73,6 +74,10 @@ class TestCronbachAlpha:
         assert cronbach_alpha(panel, POPULATION).alpha == pytest.approx(1.0, abs=1e-9)
         assert cronbach_alpha(panel, SAMPLE).alpha == pytest.approx(1.0, abs=1e-9)
 
+    def test_rejects_unknown_estimator(self, panel):
+        with pytest.raises(ValueError, match="estimator must be one of"):
+            cronbach_alpha(panel, "median")
+
     def test_fully_constant_panel_is_degenerate(self):
         panel = SacPanel(("A", "B"), ("y1", "y2"), ((0.4, 0.4), (0.4, 0.4)))
         with pytest.raises(DegeneratePanel):
@@ -132,6 +137,19 @@ class TestPanelIO:
     def test_rejects_out_of_range_cells(self):
         with pytest.raises(ValueError):
             SacPanel(("A", "B"), ("y1", "y2"), ((0.5, 1.2), (0.1, 0.2)))
+
+    @pytest.mark.parametrize(
+        "codes, years, values, message",
+        [
+            (("A", "B"), ("y1", "y2"), ((0.5,), (0.1, 0.2)), "A: row has 1 cells, expected 2"),
+            (("A", "B"), ("y1",), ((0.5,), (0.1,)), "panel needs at least 2 years"),
+            (("A", "B"), ("y1", "y2"), ((0.5, 0.6),), "one row per module required"),
+        ],
+        ids=["short-row", "one-year", "row-count"],
+    )
+    def test_rejects_malformed_panels(self, codes, years, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SacPanel(codes, years, values)
 
     def test_breakdown_json_keys(self, panel):
         doc = breakdown_to_json(cronbach_alpha(panel, MIXED))

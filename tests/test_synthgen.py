@@ -121,5 +121,8 @@ class TestRuleLabeledDataset:
             generate_rule_labeled_dataset([100.0, 50.0], 10, seed=0)  # edge value
         with pytest.raises(InvalidThresholds):
             generate_rule_labeled_dataset([50.0, 49.6], 10, seed=0)  # no room at margin 0.5
+        for margin in (0.0, -0.5):
+            with pytest.raises(InvalidThresholds, match=f"^margin must be positive, got {margin}$"):
+                generate_rule_labeled_dataset([50.0], 10, seed=0, margin=margin)
         with pytest.raises(InvalidParams, match="^n must be >= 1, got 0$"):
             generate_rule_labeled_dataset([50.0], 0, seed=0)

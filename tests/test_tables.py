@@ -33,9 +33,42 @@ def test_bad_utf8_names_its_line_past_the_first_chunk(bad_line):
 
 
 def test_a_quote_left_open_is_malformed_input_at_the_end_of_data():
+    # The reader gives up at the end of the data; the line named is where the quote opened.
     source = HEADER + '"s0,M1,1,1,present\ns1,M1,1,1,present\ns2,M1,1,1,absent\n'
-    with pytest.raises(MalformedInput, match="^<input>:4: unexpected end of data$"):
+    with pytest.raises(MalformedInput, match="^<input>:2: unexpected end of data$"):
         parse_events(source)
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ('a,b\n1,2\n3,"x\ny"z\n5,6\n', 3),
+        ('\ufeffa,b\n1,2\n"3,4\n5,6\n', 3),
+        ('a,"b\n1,2\n', 1),
+    ],
+    ids=["two-line-field-broken-on-its-second", "byte-order-mark", "in-the-header"],
+)
+def test_a_csv_fault_names_the_line_where_its_row_begins(source, line):
+    with pytest.raises(MalformedInput, match=f"^<input>:{line}: "):
+        with tables.read(source.encode("utf-8")) as table:
+            list(table)
+
+
+def test_a_csv_fault_in_a_source_that_cannot_seek_names_the_line_where_the_reader_gave_up():
+    class Unseekable(io.BytesIO):
+        def seekable(self):
+            return False
+
+    with pytest.raises(MalformedInput, match="^<input>:3: unexpected end of data$"):
+        with tables.read(Unseekable(b'a,b\n"1,2\n3,4\n')) as table:
+            list(table)
+
+
+def test_a_text_handle_already_read_by_next_is_read_from_where_it_stands():
+    handle = io.TextIOWrapper(io.BytesIO(b"a preamble line\na,b\n1,2\n"), newline="")
+    next(handle)  # a text handle read by next() cannot tell its position
+    with tables.read(handle) as table:
+        assert (table.header, list(table)) == (("a", "b"), [["1", "2"]])
 
 
 def test_row_errors_name_the_line_of_the_row():

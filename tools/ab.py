@@ -18,13 +18,13 @@ peak, so the header states the peak RSS of a child that does nothing: a
 step that reads no more than that used at most that much. The last lines say whether both trees
 wrote byte-identical outputs (each step's ``--out`` file and stdout), for
 the set-up steps, if the workload has any, and then for the timed steps.
-perfbench is only read: its workload table and child runner are imported.
+perfbench is only read: its workload table, child runner and file hashes
+are imported.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import shutil
 import statistics
@@ -36,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # import perfbench without writing into it
 sys.path.insert(0, str(ROOT / "perfbench"))
-from run import WORKLOADS, Runner, step_outputs  # noqa: E402
+from run import WORKLOADS, Runner, hash_files, step_outputs  # noqa: E402
 
 
 def _ok(runner: Runner, child) -> tuple[float, float, float]:
@@ -59,13 +59,10 @@ def _spread(values: list[float]) -> str:
     return f"{statistics.median(values):.3f} [{q1:.3f}, {q3:.3f}]"
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing"
-
-
 def _differ(names, base: Path, change: Path) -> list[str]:
     """The files of ``names`` whose bytes differ between two directories."""
-    return [name for name in names if _digest(base / name) != _digest(change / name)]
+    base_hashes, change_hashes = hash_files(base, names), hash_files(change, names)
+    return [name for name in names if base_hashes[name] != change_hashes[name]]
 
 
 def main(argv=None) -> int:
