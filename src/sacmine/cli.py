@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import itertools
 import json
 import operator
 import os
@@ -200,7 +201,7 @@ def _cmd_ingest(args, out=None) -> None:
 
 
 def _score_rows_from_input(args):
-    """Score an events CSV (row accounting goes to stderr) or module inputs."""
+    """Score an events CSV (row accounting goes to stderr) or module inputs, in chunks of rows."""
     from . import ingest, tables
 
     with tables.read(Path(args.infile)) as table:
@@ -220,30 +221,30 @@ def _score_rows_from_input(args):
     records, rejections = ingest.aggregate_event_map(winners, roster, weeks)
     for diag in rejections:
         print(f"rejected record: {diag}", file=sys.stderr)
-    return ingest.score_rows(records)
+    return tables.chunks(ingest.score_rows(records))
 
 
-def _summarised(rows):
-    """Each of the scored ``rows``, once its summary line is printed."""
-    for row in rows:
-        module_code, semester, _, taken, _, value, strength = row
-        if value is None:
-            line = f"{module_code} sem {semester}: no attendance taken"
-        else:
-            line = f"{module_code} sem {semester}: sac {value:.3f} strength {strength} (taken {taken})"
-        print(line)
-        yield row
+def _summarised(chunks):
+    """Each of the ``chunks`` of scored rows, once the summary lines of its rows are printed."""
+    for chunk in chunks:
+        sys.stdout.write("".join(
+            f"{module_code} sem {semester}: no attendance taken\n" if value is None
+            else f"{module_code} sem {semester}: sac {value:.3f} strength {strength} (taken {taken})\n"
+            for module_code, semester, _, taken, _, value, strength in chunk
+        ))
+        yield chunk
 
 
 def _cmd_score(args, out=None) -> None:
     from . import ingest
 
-    write = ingest.write_aggregate_csv if args.format == "csv" else ingest.write_aggregate_json
-    rows = _summarised(_score_rows_from_input(args))
+    chunks = _summarised(_score_rows_from_input(args))
     if out is None:
-        collections.deque(rows, maxlen=0)
+        collections.deque(chunks, maxlen=0)
+    elif args.format == "csv":
+        ingest.write_aggregate_csv(itertools.chain.from_iterable(chunks), out)
     else:
-        write(rows, out)
+        ingest.write_aggregate_json(chunks, out)
 
 
 def _cmd_reliability(args, out=None) -> None:
@@ -270,7 +271,8 @@ def _cmd_train(args, out=None) -> None:
 
     data = dtree.read_dataset_csv(args.infile)
     tree = _tree(data, args)
-    print(f"trained tree: {dtree.count_nodes(tree)} nodes, {dtree.count_leaves(tree)} leaves")
+    table = dtree.NodeTable(tree, data.attributes, data.label)  # counts the nodes in one walk
+    print(f"trained tree: {len(table.splits) + len(table.leaves)} nodes, {len(table.leaves)} leaves")
     if out is not None:
         out.write(dtree.model_text(tree, data.attributes, data.label))
 
@@ -278,9 +280,9 @@ def _cmd_train(args, out=None) -> None:
 def _cmd_rules(args, out=None) -> None:
     from . import dtree
 
-    tree, _, label = dtree.load_model(args.infile)
-    ruleset = dtree.extract_rules(tree)
-    lines = ruleset.to_text(label.name)
+    table = dtree.NodeTable.load(args.infile)
+    ruleset = table.rules()
+    lines = ruleset.to_text(table.label.name)
     for line in lines:
         print(line)
     doc = [
@@ -305,7 +307,7 @@ def _cmd_evaluate(args, out=None) -> None:
     _mode_options(args, "evaluate without --model", args.model is None,
                   fraction=0.70, seed=0, criterion="gain-ratio", min_leaf=2)
     if args.model is not None:
-        table = dtree.NodeTable(*dtree.load_model(args.model))
+        table = dtree.NodeTable.load(args.model)
         report = table.evaluate(dtree.labelled_rows(args.infile, table.attributes, table.label))
         sizes = {"train": None, "test": sum(map(sum, report.confusion))}
     else:
@@ -329,16 +331,16 @@ def _cmd_evaluate(args, out=None) -> None:
 
 
 def _cmd_predict(args, out=None) -> None:
-    from . import dtree, tables
+    from . import dtree
 
-    table = dtree.NodeTable(*dtree.load_model(args.model))
+    table = dtree.NodeTable.load(args.model)
     # The class and confidence cells of each leaf; csv writes a float as its repr.
     tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
     n = 0
     if out is not None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([a.name for a in table.attributes] + ["predicted", "confidence"])
-    for chunk in tables.chunks(dtree.instance_rows(args.infile, table.attributes)):
+    for chunk in dtree.instance_rows(args.infile, table.attributes):
         leaf_ids = table.route(chunk)
         for row, j in zip(chunk[: max(10 - n, 0)], leaf_ids):
             leaf = table.leaves[j]

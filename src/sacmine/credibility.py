@@ -11,12 +11,15 @@ low, which is the whole point of the measure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InvalidAverage, InvalidCounts, NoAttendanceTaken, OutOfRange
 
 #: Number of nominal strength classes the unit interval is cut into.
 STRENGTH_CLASSES = 10
+#: The lower bounds of strength classes 2 to 10.
+_BOUNDS = tuple(k / 10 for k in range(1, STRENGTH_CLASSES))
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,11 @@ def sac(attend_avg: float, taken_count: int, weeks_total: int) -> float:
     average and attendance taken every single week.
     """
     _check_sac_inputs(attend_avg, taken_count, weeks_total)
+    return _sac(attend_avg, taken_count, weeks_total)
+
+
+def _sac(attend_avg: float, taken_count: int, weeks_total: int) -> float:
+    """The formula of :func:`sac`, for inputs already checked."""
     return (attend_avg * taken_count) / (100.0 * weeks_total)
 
 
@@ -178,7 +186,9 @@ def strength_bin(value: float) -> SacStrength:
     """
     if value < 0.0 or value > 1.0:
         raise OutOfRange(f"SAC must be in [0, 1], got {value}")
-    for klass in range(1, STRENGTH_CLASSES):
-        if value < klass / 10:
-            return SacStrength(klass)
-    return SacStrength(STRENGTH_CLASSES)
+    return SacStrength(_strength(value))
+
+
+def _strength(value: float) -> int:
+    """The class of :func:`strength_bin` of a value in [0, 1]: 1 + the bounds at or below it."""
+    return bisect_right(_BOUNDS, value) + 1

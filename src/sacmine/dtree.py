@@ -196,7 +196,8 @@ class NodeTable:
         self.root, self.attributes, self.label = tree, attributes, label
         self.splits: list[Split] = []
         self.leaves: list[Leaf] = []
-        for node, _ in _preorder(tree):
+        self._paths: list[tuple[Condition, ...]] = []  # each leaf's conditions
+        for node, conds in _preorder(tree):
             if isinstance(node, Leaf):
                 if not (
                     node.label in node.distribution
@@ -206,6 +207,7 @@ class NodeTable:
                 ):
                     raise SchemaMismatch(f"leaf {node.label!r} does not fit label {label.name!r}")
                 self.leaves.append(node)
+                self._paths.append(conds)
                 continue
             known = isinstance(node.index, int) and 0 <= node.index < len(self.attributes)
             spec = self.attributes[node.index] if known else None
@@ -218,6 +220,32 @@ class NodeTable:
             self.splits.append(node)
         # A leaf placed twice in the tree takes the number of its last place.
         self._number = {id(leaf): j for j, leaf in enumerate(self.leaves)}
+
+    @classmethod
+    def load(cls, path) -> "NodeTable":
+        """The checked table of a model file written by ``save_model``. Raises
+        ValueError for another format or version, and SchemaMismatch when the
+        file is not UTF-8 JSON, the schema or tree is missing, a node lacks a
+        field or does not fit the schema, or the tree is nested too deep to read."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise SchemaMismatch(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+        if doc.get("version") != MODEL_VERSION:
+            raise ValueError(f"{path}: unsupported {MODEL_FORMAT} version {doc.get('version')!r}")
+        try:
+            attributes, label = schema_from_json(doc["schema"])
+            return cls(tree_from_json(doc["tree"]), attributes, label)
+        except SchemaMismatch as exc:
+            raise SchemaMismatch(f"{path}: {exc}") from None
+        except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
+            raise SchemaMismatch(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
+
+    def rules(self) -> "RuleSet":
+        """:func:`extract_rules` of the tree, from the walk that checked it."""
+        return _rules(zip(self.leaves, self._paths))
 
     def route(self, rows) -> list[int]:
         """The leaf number of each row of values. No value is checked, so every
@@ -237,9 +265,9 @@ class NodeTable:
             reached.append(node)
         return list(map(self._number.__getitem__, map(id, reached)))
 
-    def evaluate(self, rows) -> EvalReport:
-        """:func:`evaluate` of ``rows``, each a row of values whose last cell
-        is its true class, routed :data:`tables.CHUNK` rows at a time.
+    def evaluate(self, chunks) -> EvalReport:
+        """:func:`evaluate` of ``chunks``, each a list of rows of values whose
+        last cell is its true class, routed a chunk at a time.
 
         The K squared errors of each (leaf, true class) pair are computed once,
         but summed in one running sum, row by row and class by class, carried
@@ -247,7 +275,7 @@ class NodeTable:
         counts: Counter = Counter()
         terms: dict[tuple[int, str], list[float]] = {}
         domain, sq = self.label.domain, 0.0
-        for chunk in tables.chunks(rows):
+        for chunk in chunks:
             pairs = list(zip(self.route(chunk), map(itemgetter(-1), chunk)))
             counts.update(pairs)
             for j, truth in set(pairs).difference(terms):
@@ -624,12 +652,13 @@ def extract_rules(tree: TreeNode) -> RuleSet:
     majority-class fraction, so first-match classification over the rules
     reproduces the tree.
     """
-    rules = [
-        Rule(_merge_conditions(conds), node.label, node.n, node.distribution[node.label])
-        for node, conds in _preorder(tree)
-        if isinstance(node, Leaf)
-    ]
-    return RuleSet(tuple(rules))
+    return _rules((node, conds) for node, conds in _preorder(tree) if isinstance(node, Leaf))
+
+
+def _rules(paths) -> RuleSet:
+    """The rule of each ``(leaf, conditions of its path)``, in the order given."""
+    return RuleSet(tuple(Rule(_merge_conditions(c), leaf.label, leaf.n, leaf.distribution[leaf.label])
+                         for leaf, c in paths))
 
 
 # --- Evaluation ------------------------------------------------------------------
@@ -655,7 +684,7 @@ def evaluate(tree: TreeNode, test: Dataset) -> EvalReport:
     the set's rows, already checked by :class:`Dataset`, then route unchecked.
     """
     table = NodeTable(tree, test.attributes, test.label)
-    return table.evaluate(inst.values + (inst.label,) for inst in test.instances)
+    return table.evaluate(tables.chunks(inst.values + (inst.label,) for inst in test.instances))
 
 
 def split_dataset(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -797,30 +826,9 @@ def save_model(tree: TreeNode, attributes, label: AttributeSpec, path) -> None:
 
 
 def load_model(path) -> tuple[TreeNode, tuple[AttributeSpec, ...], AttributeSpec]:
-    """Read a model file written by ``save_model``.
-
-    Raises ValueError for another format or version, and SchemaMismatch
-    when the file is not UTF-8 JSON, the schema or tree is missing, a node
-    lacks a field or does not fit the schema, or the tree is nested too deep
-    to read.
-    """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise SchemaMismatch(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported {MODEL_FORMAT} version {doc.get('version')!r}")
-    try:
-        attributes, label = schema_from_json(doc["schema"])
-        tree = tree_from_json(doc["tree"])
-        NodeTable(tree, attributes, label)  # the table checks every node against the schema
-    except SchemaMismatch as exc:
-        raise SchemaMismatch(f"{path}: {exc}") from None
-    except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
-        raise SchemaMismatch(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
-    return tree, attributes, label
+    """The tree, attributes and label of a model file, as :meth:`NodeTable.load` reads them."""
+    table = NodeTable.load(path)
+    return table.root, table.attributes, table.label
 
 
 # --- Dataset CSV with sidecar schema ------------------------------------------------
@@ -856,36 +864,36 @@ def _read_schema(schema_path: Path) -> tuple[tuple[AttributeSpec, ...], Attribut
 
 
 def _schema_rows(csv_path, attributes, label=None):
-    """The cells of each row of the CSV at ``csv_path`` in ``attributes``
-    order, then ``label``'s if given, numeric cells as finite floats. Given a
-    label, the CSV must have exactly those columns; without one, other columns
-    are ignored. A nominal cell or the label outside its domain raises what
-    :class:`Dataset` raises for it, with the ``file:line`` of its row."""
-    names = [a.name for a in attributes]
-    numeric = {i: float for i, a in enumerate(attributes) if a.kind == NUMERIC}
-    nominal = [(i, set(a.domain), a) for i, a in enumerate(attributes) if a.kind == NOMINAL]
-    if label is not None:
-        names.append(label.name)
-        nominal.append((len(attributes), set(label.domain), label))
+    """Chunks of the rows of the CSV at ``csv_path``, each a tuple of its cells
+    in ``attributes`` order, then ``label``'s if given, numeric cells as finite
+    floats, as :meth:`tables.Table.chunks` cuts them. Given a label, the CSV must
+    have exactly those columns; without one, other columns are ignored. A
+    nominal cell or the label outside its domain raises what :class:`Dataset`
+    raises for it, with the ``file:line`` of its row."""
+    specs = [*attributes, label] if label is not None else list(attributes)
+    numeric = {i: float for i, spec in enumerate(specs) if spec.kind == NUMERIC}
+    nominal = {i: set(spec.domain) for i, spec in enumerate(specs) if spec.kind == NOMINAL}
+
+    def check(cells):
+        for i, domain in nominal.items():
+            if cells[i] not in domain:
+                raise _outside_domain(specs[i], cells[i], specs[i] is label)
+
     with tables.read(Path(csv_path)) as table:
-        if label is not None and len(table.header) != len(names):
-            raise MissingHeader(f"expected the columns {names}")
-        for cells in table.rows(names, numeric):
-            for i, domain, spec in nominal:
-                if cells[i] not in domain:
-                    raise _outside_domain(spec, cells[i], spec is label)
-            yield cells
+        if label is not None and len(table.header) != len(specs):
+            raise MissingHeader(f"expected the columns {[spec.name for spec in specs]}")
+        yield from table.chunks([spec.name for spec in specs], numeric, nominal, check)
 
 
 def read_dataset_csv(csv_path) -> Dataset:
     """Load a labeled dataset and its sidecar schema, <name>.schema.json."""
     attributes, label = _read_schema(default_schema_path(csv_path))
-    rows = _schema_rows(csv_path, attributes, label)
-    return Dataset(attributes, label, (Instance(tuple(cells[:-1]), cells[-1]) for cells in rows))
+    rows = chain.from_iterable(_schema_rows(csv_path, attributes, label))
+    return Dataset(attributes, label, (Instance(row[:-1], row[-1]) for row in rows))
 
 
 def labelled_rows(csv_path, attributes, label):
-    """The rows of a dataset CSV, one at a time, to be scored by a model of
+    """The rows of a dataset CSV, a chunk at a time, to be scored by a model of
     schema ``attributes`` and ``label``, checked as :class:`Dataset` checks them.
 
     The sidecar schema must declare the model's columns, by name, with the
@@ -900,12 +908,11 @@ def labelled_rows(csv_path, attributes, label):
 
 
 def instance_rows(csv_path, attributes):
-    """Unlabeled rows for prediction, one tuple at a time, checked as
+    """Unlabeled rows for prediction, a chunk of tuples at a time, checked as
     :class:`Dataset` checks them; any label column is ignored."""
-    return map(tuple, _schema_rows(csv_path, attributes))
+    return _schema_rows(csv_path, attributes)
 
 
 def read_instances_csv(csv_path, attributes) -> list[tuple]:
-    """All of :func:`instance_rows` as a list."""
-    return list(instance_rows(csv_path, attributes))
-
+    """All the rows of :func:`instance_rows` as one list."""
+    return list(chain.from_iterable(instance_rows(csv_path, attributes)))

@@ -21,12 +21,12 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import chain, compress
+from operator import attrgetter, le
 from pathlib import Path
 
 from . import tables
-from .credibility import ModuleTermRecord, WeekObservation, attendance_average, strength_bin
-from .credibility import _check_counts, sac as sac_score
+from .credibility import ModuleTermRecord, WeekObservation, _check_counts, _sac, _strength, attendance_average
 from .errors import InvalidAverage, SchemaMismatch, WeekOutOfRange
 
 EVENTS_HEADER = ("student_id", "module_code", "semester", "week", "status")
@@ -361,11 +361,11 @@ def read_roster_csv(path) -> list[RosterEntry]:
 
 
 def _scored(module_code: str, semester: int, weeks: int, taken: int, avg: float | None) -> tuple:
-    """One aggregate-CSV row; with no week taken, ``avg`` is None and the row blank."""
+    """One aggregate-CSV row of checked inputs; with no week taken, the row is blank."""
     if taken == 0:
         return (module_code, semester, weeks, 0, None, None, 0)
-    value = sac_score(avg, taken, weeks)
-    return (module_code, semester, weeks, taken, avg, value, strength_bin(value).value)
+    value = _sac(avg, taken, weeks)
+    return (module_code, semester, weeks, taken, avg, value, _strength(value))
 
 
 def score_rows(records: list[ModuleTermRecord]) -> list[tuple]:
@@ -379,32 +379,55 @@ def score_rows(records: list[ModuleTermRecord]) -> list[tuple]:
 
 
 def module_input_rows(path):
-    """Score pre-aggregated module inputs, yielding one row at a time.
+    """Score pre-aggregated module inputs, yielding a chunk of rows at a time.
 
     Expects header ``module_code,semester,weeks_total,attendance_taken,attend_avg``;
-    yields the same row shape as :func:`score_rows`. Each row is checked in this
-    order: a semester of ``1`` or ``2``, ``weeks_total >= 1``, an
-    ``attendance_taken`` of 0 or in [1, weeks_total], and an ``attend_avg`` in
-    [0, 100], which may be blank only when no week was taken.
+    yields rows of the same shape as :func:`score_rows`. Each row is checked in
+    this order: a module code and a semester of ``1`` or ``2``, ``weeks_total
+    >= 1``, an ``attendance_taken`` of 0 or in [1, weeks_total], and an
+    ``attend_avg`` in [0, 100], which may be blank only when no week was taken.
+    A chunk that fails its column checks is checked again row by row.
     """
     with tables.read(Path(path)) as table:
         table.expect(MODULE_INPUT_HEADER)
-        for module_code, semester_s, weeks, taken, avg_s in table.rows(MODULE_INPUT_HEADER, {2: int, 3: int}):
-            semester = _SEMESTERS.get(semester_s)
-            if not module_code or semester is None:
-                raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s}")
-            _week_limit(weeks)
-            if taken:
-                _check_counts(taken, weeks)
-            avg = tables.number("attend_avg", avg_s, float) if avg_s or taken else None
-            if avg is not None and not 0.0 <= avg <= 100.0:
-                raise InvalidAverage(f"attend_avg must be in [0, 100], got {avg}")
-            yield _scored(module_code, semester, weeks, taken, avg)
+        for rows in table.chunks(MODULE_INPUT_HEADER, {2: int, 3: int}, {1: set(_SEMESTERS)}, _module_input):
+            yield _scored_chunk(rows) or [_scored(*_module_input(row)) for row in table.each(rows)]
+
+
+def _module_input(cells) -> tuple:
+    """The checked ``(module_code, semester, weeks, taken, avg)`` of a row's cells."""
+    module_code, semester_s, weeks, taken, avg_s = cells
+    semester = _SEMESTERS.get(semester_s)
+    if not module_code or semester is None:
+        raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s}")
+    _week_limit(weeks)
+    if taken:
+        _check_counts(taken, weeks)
+    avg = tables.number("attend_avg", avg_s, float) if avg_s or taken else None
+    if avg is not None and not 0.0 <= avg <= 100.0:
+        raise InvalidAverage(f"attend_avg must be in [0, 100], got {avg}")
+    return module_code, semester, weeks, taken, avg
+
+
+def _scored_chunk(rows) -> list[tuple] | None:
+    """The :func:`_scored` rows of a chunk of module inputs with valid
+    semesters, checked a column at a time, or None if a rule fails."""
+    codes, semesters, weeks, taken, cells = zip(*rows)
+    distinct = set(cells) - {""}
+    try:
+        averages = dict(zip(distinct, map(float, distinct)))
+    except ValueError:
+        return None
+    if not (all(codes) and min(weeks) >= 1 and min(taken) >= 0 and all(map(le, taken, weeks))
+            and all(compress(cells, taken))  # no blank average where a week was taken
+            and all(0.0 <= avg <= 100.0 for avg in averages.values())):
+        return None
+    return list(map(_scored, codes, map(_SEMESTERS.get, semesters), weeks, taken, map(averages.get, cells)))
 
 
 def read_module_inputs_csv(path) -> list[tuple]:
-    """All of :func:`module_input_rows` as a list."""
-    return list(module_input_rows(path))
+    """All the rows of :func:`module_input_rows` as a list."""
+    return list(chain.from_iterable(module_input_rows(path)))
 
 
 def write_aggregate_csv(rows: list[tuple], fh) -> None:
@@ -417,13 +440,13 @@ def write_aggregate_csv(rows: list[tuple], fh) -> None:
     )
 
 
-def write_aggregate_json(rows, fh) -> None:
-    """Write scored rows, unrounded, as ``json.dumps(objects, indent=2) + "\\n"`` does,
-    one object per row: each :data:`tables.CHUNK` rows are encoded by one call
-    (each call builds the pure-Python indenting encoder anew) and written
-    without their brackets, inside one ``[`` ... ``]``."""
+def write_aggregate_json(chunks, fh) -> None:
+    """Write scored rows, given in non-empty chunks, unrounded, as
+    ``json.dumps(objects, indent=2) + "\\n"`` does, one object per row: each
+    chunk is encoded by one call (each call builds the pure-Python indenting
+    encoder anew) and written without its brackets, inside one ``[`` ... ``]``."""
     opening = "[\n"
-    for chunk in tables.chunks(rows):
+    for chunk in chunks:
         fh.write(opening + json.dumps([dict(zip(AGGREGATE_HEADER, row)) for row in chunk], indent=2)[2:-2])
         opening = ",\n"
     fh.write("[]\n" if opening == "[\n" else "\n]\n")

@@ -2,12 +2,13 @@
 
 Tables are UTF-8 (a leading byte-order mark is dropped) in the ``csv``
 default dialect, read strictly: fields may be quoted, but a quote left open
-is an error. The header is trimmed and blank rows skipped. :meth:`Table.rows`
-trims the cells it yields; iterating a table yields each row's raw ``csv``
-cells, for a reader that trims only the cells it checks. Readers keep only
-their own format rule and raise plain domain errors; this layer adds the
-``file:line`` of the row. It also sets how many rows a streaming command
-holds at a time: :data:`CHUNK`, cut by :func:`chunks`.
+is an error. The header is trimmed and blank rows skipped. Iterating a table
+yields each row's raw ``csv`` cells, for a reader that trims only the cells
+it checks. :meth:`Table.chunks` cuts below the parse: it reads :data:`CHUNK`
+rows at a time and checks them a column at a time, and reads again row by
+row only a chunk that fails, so that each fault keeps its message and line.
+Readers keep only their own format rule and raise plain domain errors; this
+layer adds the ``file:line`` of the row.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from itertools import islice
 
 from .errors import Error, MalformedInput, MissingHeader, SchemaMismatch
 
-#: The rows that ``predict``, ``evaluate --model`` and ``score --format json`` hold at a time.
-CHUNK = 1024
+#: The rows read, checked and handed on at a time.
+CHUNK = 128
 
 
 def chunks(rows):
@@ -32,12 +33,42 @@ def chunks(rows):
         yield chunk
 
 
+def _by_column(rows, width: int, positions, numeric: dict, nominal: dict):
+    """The rows of :meth:`Table.chunks` of a chunk of raw ``rows``, checked a
+    column at a time, or None if a check fails."""
+    if set(map(len, rows)) != {width}:
+        return None
+    columns, parsed = list(zip(*rows)), []
+    try:
+        for i, p in enumerate(positions):  # int and float skip white space, and raise where strip trims more
+            parsed.append(column := list(map(numeric.get(i, str.strip), columns[p])))
+            if (i in numeric and not all(map(math.isfinite, column))
+                    or i in nominal and not nominal[i].issuperset(column)):
+                return None
+    except (ValueError, OverflowError):
+        return None
+    return list(zip(*parsed))
+
+
 class Table:
     """A CSV input being read: its trimmed ``header`` and its rows."""
 
     def __init__(self, reader) -> None:
         self.header = tuple(cell.strip() for cell in next(reader, []))
         self._reader = reader
+        self._index = None  # of the row of the chunk being read that is handed out
+
+    @property
+    def line(self) -> int:
+        """The line on which the row being handed out ends, as ``csv`` counts
+        lines, or else the last line read. Counted only when asked."""
+        if self._index is None:
+            return max(self._reader.line_num, 1)
+        ends, at = [], self._start
+        for record in self._raw:  # a line break in a quoted cell adds a line
+            at += 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in record)
+            ends += [at] if record else []
+        return ends[self._index]
 
     def expect(self, header: tuple[str, ...]) -> None:
         """Raise MissingHeader unless the header is exactly ``header``."""
@@ -48,24 +79,59 @@ class Table:
         """The raw, untrimmed cells of every non-blank row, whatever its width."""
         return filter(None, self._reader)
 
-    def rows(self, names, numeric: dict):
-        """Each row's trimmed cells of the columns ``names``, found by header
-        name once each. A row unlike the header in width raises, and the cell at
-        each index in ``numeric`` is parsed by :func:`number` as the type it maps to."""
+    def each(self, rows):
+        """Each of ``rows``, the chunk being read, with :attr:`line` on it."""
+        for self._index, row in enumerate(rows):
+            yield row
+
+    def _parser(self, names, numeric: dict, check=None):
+        """The function that turns a raw row into the tuple of :meth:`rows`, and
+        the positions of the columns ``names``, found by header name once each."""
         missing = [name for name in names if self.header.count(name) != 1]
         if missing:
             raise MissingHeader(f"columns missing or repeated: {missing}")
-        positions = [self.header.index(name) for name in names]
-        width = len(self.header)
-        for row in self._reader:
-            if not row:
-                continue
+        positions, width = [self.header.index(name) for name in names], len(self.header)
+
+        def parse(row):
             if len(row) != width:
                 raise SchemaMismatch(f"expected {width} fields, got {len(row)}")
             cells = [row[p].strip() for p in positions]
             for i, kind in numeric.items():
                 cells[i] = number(names[i], cells[i], kind)
-            yield cells
+            if check is not None:
+                check(cells)
+            return tuple(cells)
+
+        return parse, positions
+
+    def rows(self, names, numeric: dict):
+        """Each row's trimmed cells of the columns ``names`` as a tuple, read one
+        row at a time. A row unlike the header in width raises, and the cell at
+        each index in ``numeric`` is parsed by :func:`number` as the type it maps to."""
+        return map(self._parser(names, numeric)[0], self)
+
+    def chunks(self, names, numeric: dict, nominal: dict, check):
+        """The rows of :meth:`rows`, read and checked a chunk and a column at a
+        time, in lists of at most :data:`CHUNK`; the cell at each index in
+        ``nominal`` must also be in the set it maps to. A chunk that fails a
+        check is read again as :meth:`rows` reads, and then ``check`` is called
+        with each row's cells: it raises for a nominal cell outside its set,
+        and for any rule that its caller checks on a chunk at a time."""
+        parse, positions = self._parser(names, numeric, check)
+        reader, read, fault = self._reader, CHUNK, None
+        while read == CHUNK and fault is None:
+            self._start, self._index, raw = reader.line_num, None, []
+            try:
+                raw.extend(islice(reader, CHUNK))
+            except (csv.Error, UnicodeDecodeError) as exc:  # raised once the rows before it are checked
+                fault = exc
+            self._raw, read, rows = raw, len(raw), list(filter(None, raw))
+            if rows:
+                yield _by_column(rows, len(self.header), positions, numeric, nominal) or list(
+                    map(parse, self.each(rows)))
+        self._index = None
+        if fault is not None:
+            raise fault
 
 
 def number(name: str, text: str, kind):
@@ -102,7 +168,7 @@ def read(source):
             start = source.tell() if source.seekable() else None
         reader = csv.reader(source, strict=True)
         try:
-            yield Table(reader)
+            yield (table := Table(reader))
         except csv.Error as exc:
             line = reader.line_num
             if start is not None:  # read again, to the line after the last row that parses
@@ -117,5 +183,5 @@ def read(source):
             line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
             raise MalformedInput(f"{name}:{line}: not UTF-8: {exc.reason}") from None
         except (Error, ValueError) as exc:
-            # Rows are read one at a time, so the reader is still on the bad one.
-            raise type(exc)(f"{name}:{max(reader.line_num, 1)}: {exc}") from None
+            # Rows are read a chunk ahead, so the table knows the bad row's line.
+            raise type(exc)(f"{name}:{table.line}: {exc}") from None

@@ -1,5 +1,6 @@
 """tools/ab.py runs a workload's steps from two trees and compares their outputs."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,25 @@ def test_one_pair_of_a_tree_against_itself(tmp_path):
     assert floor > 0
     assert lines[-1] == "outputs: identical"
     assert (tmp_path / "base" / "model.json").read_bytes() == (tmp_path / "change" / "model.json").read_bytes()
+
+
+def test_the_spawner_reads_each_child_below_this_process_peak():
+    """A child's ``ru_maxrss`` starts at the peak of the process that spawns it.
+    A spawner that tools/ab.py forks while small reads a child that does
+    nothing below the peak of a parent that has grown by 64 MiB since, and a
+    child that allocates 50 MiB within 5 MiB of 50 MiB plus that floor."""
+    script = f"""
+import json, os, resource, sys
+sys.path.insert(0, {str(ROOT / "tools")!r})
+import ab
+spawner = ab.Spawner()
+ballast = b"x" * (64 << 20)
+def rss(code):
+    return spawner.run([sys.executable, "-c", code], ".", dict(os.environ), os.devnull, os.devnull)[2]
+print(json.dumps([rss("pass"), rss("b = b'x' * (50 << 20)"), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    floor, allocating, own = json.loads(done.stdout)
+    assert floor < own - 32
+    assert abs(allocating - (50 + floor)) < 5

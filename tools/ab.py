@@ -13,30 +13,101 @@ works in its own copy of the inputs.
 Printed per step and for the whole job: each side's median wall time, CPU
 time and peak RSS (a job's peak is its largest step's), the median [Q1, Q3]
 of the CHANGE/BASE ratio over the pairs, and in how many pairs CHANGE was
-faster, or for RSS lower. A child's peak RSS starts at this process's own
-peak, so the header states the peak RSS of a child that does nothing: a
-step that reads no more than that used at most that much. The last lines say whether both trees
-wrote byte-identical outputs (each step's ``--out`` file and stdout), for
-the set-up steps, if the workload has any, and then for the timed steps.
-perfbench is only read: its workload table, child runner and file hashes
-are imported.
+faster, or for RSS lower. On Linux a child's peak RSS (``ru_maxrss``)
+starts at the peak of the process that spawns it, so every child is spawned
+by a small process forked before this one imports perfbench or reads any
+input, and each step reads its own peak. The header states this process's
+own peak and the spawner's floor, the peak of a child that does nothing.
+The last lines say whether both trees wrote byte-identical outputs (each
+step's ``--out`` file and stdout), for the set-up steps, if the workload has
+any, and then for the timed steps. perfbench is only read: its workload
+table, child runner and file hashes are imported.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
+import traceback
 from pathlib import Path
+
+
+class Spawner:
+    """A process, forked while this one is small, that runs children one at a
+    time and reports each one's wall time, CPU time, peak RSS and exit code."""
+
+    def __init__(self) -> None:
+        requests, self._requests = os.pipe()
+        self._replies, replies = os.pipe()
+        if os.fork() == 0:
+            os.close(self._requests)
+            os.close(self._replies)
+            _serve(requests, replies)
+        os.close(requests)
+        os.close(replies)
+        self._send = os.fdopen(self._requests, "w", encoding="utf-8")
+        self._receive = os.fdopen(self._replies, encoding="utf-8")
+
+    def run(self, argv, cwd, env, stdout, stderr) -> tuple[float, float, float, int]:
+        """Run ``argv`` in ``cwd`` with ``env``, its output to the files
+        ``stdout`` and ``stderr``: its wall and CPU seconds, peak RSS in MiB
+        and exit code."""
+        self._send.write(json.dumps([list(map(str, argv)), str(cwd), env, str(stdout), str(stderr)]) + "\n")
+        self._send.flush()
+        reply = self._receive.readline()
+        if not reply:
+            raise SystemExit(f"the spawner stopped before it ran {argv}")
+        return tuple(json.loads(reply))
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The spawner's loop: one child per request line, until the requests end."""
+    try:
+        with open(requests, encoding="utf-8") as inbox, open(replies, "w", encoding="utf-8") as outbox:
+            for line in inbox:
+                argv, cwd, env, stdout, stderr = json.loads(line)
+                with open(stdout, "wb") as out, open(stderr, "wb") as err:
+                    t0 = time.perf_counter()
+                    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err)
+                    _, status, usage = os.wait4(proc.pid, 0)
+                    wall = time.perf_counter() - t0
+                proc.returncode = os.waitstatus_to_exitcode(status)
+                reply = [wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, proc.returncode]
+                outbox.write(json.dumps(reply) + "\n")
+                outbox.flush()
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(0)
+
+
+# Run as a script, the spawner is forked here, while this process is small.
+SPAWNER = Spawner() if __name__ == "__main__" else None
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # import perfbench without writing into it
 sys.path.insert(0, str(ROOT / "perfbench"))
-from run import WORKLOADS, Runner, hash_files, step_outputs  # noqa: E402
+from run import WORKLOADS, Child, Runner, hash_files, step_outputs  # noqa: E402
+
+
+class SpawnedRunner(Runner):
+    """perfbench's Runner, whose children ``spawner`` runs."""
+
+    def __init__(self, spawner: Spawner, root: Path, work: Path):
+        super().__init__(root, work)
+        self.spawner = spawner
+
+    def _spawn(self, name: str, argv: list[str]) -> Child:
+        out, err = self.work / f"{name}.stdout", self.work / f"{name}.stderr"
+        return Child(name, *self.spawner.run(argv, self.work, self.env, out, err))
 
 
 def _ok(runner: Runner, child) -> tuple[float, float, float]:
@@ -48,10 +119,14 @@ def _ok(runner: Runner, child) -> tuple[float, float, float]:
     return child.wall_s, child.cpu_s, child.rss_mib
 
 
-def _floor_mib() -> float:
-    """The peak RSS of a Python child that does nothing, in MiB."""
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    return os.wait4(proc.pid, 0)[2].ru_maxrss / 1024
+def _floor_mib(spawner: Spawner) -> float:
+    """The peak RSS of a Python child that does nothing, run by ``spawner``, in MiB."""
+    return spawner.run([sys.executable, "-c", "pass"], ROOT, dict(os.environ), os.devnull, os.devnull)[2]
+
+
+def _own_mib() -> float:
+    """This process's own peak RSS, in MiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _spread(values: list[float]) -> str:
@@ -81,19 +156,22 @@ def main(argv=None) -> int:
             parser.error(f"no sacmine source at {tree / 'src' / 'sacmine'}")
     work = args.work or Path(tempfile.mkdtemp(prefix="sacmine-ab-"))
     try:
-        return compare(wl, args.seed, args.pairs, trees, work)
+        return compare(wl, args.seed, args.pairs, trees, work, SPAWNER or Spawner())
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
 
 
-def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path) -> int:
-    inputs = Runner(ROOT, work / "inputs")
+def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path, spawner: Spawner) -> int:
+    inputs = SpawnedRunner(spawner, ROOT, work / "inputs")
     inputs.work.mkdir(parents=True, exist_ok=True)
     _ok(inputs, inputs.generate(wl.name, seed))
     # The set-up steps run with each tree in its own copy of the generated
     # inputs; only BASE's outputs feed the timed steps.
-    setups = {"base": Runner(trees["base"], inputs.work), "change": Runner(trees["change"], work / "setup-change")}
+    setups = {
+        "base": SpawnedRunner(spawner, trees["base"], inputs.work),
+        "change": SpawnedRunner(spawner, trees["change"], work / "setup-change"),
+    }
     if wl.setup_steps:
         shutil.copytree(inputs.work, setups["change"].work, dirs_exist_ok=True)
     setup_outputs = []
@@ -107,7 +185,7 @@ def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path) -> in
         (work / side).mkdir(exist_ok=True)
         for name in wl.inputs:
             shutil.copy(inputs.work / name, work / side / name)
-        runners[side] = Runner(tree, work / side)
+        runners[side] = SpawnedRunner(spawner, tree, work / side)
 
     steps = [command for command, _ in wl.steps]
     times = {side: {key: [] for key in ["job", *steps]} for side in trees}
@@ -122,7 +200,8 @@ def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path) -> in
             times[side]["job"].append(tuple(job))
 
     print(f"# {wl.name} seed {seed}, {pairs} pairs; base {trees['base']}, change {trees['change']}")
-    print(f"# each child's rss_mib is at least that of a child that does nothing, {_floor_mib():.3f} MiB")
+    print(f"# each child's rss_mib is its own peak, read by a spawner forked before this process peaked at "
+          f"{_own_mib():.3f} MiB; it is at least that of a child that does nothing, {_floor_mib(spawner):.3f} MiB")
     print("# row: base median, change median, change/base ratio median [Q1, Q3], pairs change faster or lower")
     for key in ["job", *steps]:
         for i, (metric, better) in enumerate((("wall_s", "faster"), ("cpu_s", "faster"), ("rss_mib", "lower"))):
