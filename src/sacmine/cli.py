@@ -271,8 +271,7 @@ def _cmd_train(args, out=None) -> None:
 
     data = dtree.read_dataset_csv(args.infile)
     tree = _tree(data, args)
-    table = dtree.NodeTable(tree, data.attributes, data.label)  # counts the nodes in one walk
-    print(f"trained tree: {len(table.splits) + len(table.leaves)} nodes, {len(table.leaves)} leaves")
+    print("trained tree: {} nodes, {} leaves".format(*dtree.tree_counts(tree)))
     if out is not None:
         out.write(dtree.model_text(tree, data.attributes, data.label))
 

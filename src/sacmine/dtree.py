@@ -303,12 +303,18 @@ class NodeTable:
         )
 
 
+def tree_counts(tree: TreeNode) -> tuple[int, int]:
+    """The nodes and the leaves of ``tree``, counted in one walk."""
+    leaves = [isinstance(node, Leaf) for node, _ in _preorder(tree)]
+    return len(leaves), sum(leaves)
+
+
 def count_nodes(tree: TreeNode) -> int:
-    return sum(1 for _ in _preorder(tree))
+    return tree_counts(tree)[0]
 
 
 def count_leaves(tree: TreeNode) -> int:
-    return sum(isinstance(node, Leaf) for node, _ in _preorder(tree))
+    return tree_counts(tree)[1]
 
 
 def collect_splits(tree: TreeNode) -> list[Split]:
@@ -657,8 +663,10 @@ def extract_rules(tree: TreeNode) -> RuleSet:
 
 def _rules(paths) -> RuleSet:
     """The rule of each ``(leaf, conditions of its path)``, in the order given."""
-    return RuleSet(tuple(Rule(_merge_conditions(c), leaf.label, leaf.n, leaf.distribution[leaf.label])
-                         for leaf, c in paths))
+    return RuleSet(tuple(
+        Rule(_merge_conditions(conds), leaf.label, leaf.n, leaf.distribution[leaf.label])
+        for leaf, conds in paths
+    ))
 
 
 # --- Evaluation ------------------------------------------------------------------

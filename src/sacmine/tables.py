@@ -40,11 +40,13 @@ def _by_column(rows, width: int, positions, numeric: dict, nominal: dict):
         return None
     columns, parsed = list(zip(*rows)), []
     try:
-        for i, p in enumerate(positions):  # int and float skip white space, and raise where strip trims more
-            parsed.append(column := list(map(numeric.get(i, str.strip), columns[p])))
+        for i, p in enumerate(positions):
+            # A number is not trimmed: int and float skip white space, and raise where strip trims more.
+            column = list(map(numeric.get(i, str.strip), columns[p]))
             if (i in numeric and not all(map(math.isfinite, column))
                     or i in nominal and not nominal[i].issuperset(column)):
                 return None
+            parsed.append(column)
     except (ValueError, OverflowError):
         return None
     return list(zip(*parsed))

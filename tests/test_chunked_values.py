@@ -124,7 +124,7 @@ READERS = {
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_the_column_checks_read_what_the_row_path_reads(tmp_path, monkeypatch, reader, data):
     inputs, read = READERS[reader]

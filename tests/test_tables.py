@@ -76,3 +76,15 @@ def test_row_errors_name_the_line_of_the_row():
     with pytest.raises(SchemaMismatch, match=re.escape("<input>:4: b: expected a finite number, got 'x'")):
         with tables.read(source) as table:
             list(table.rows(["a", "b"], {0: float, 1: float}))
+
+
+@pytest.mark.parametrize("fault", ["open-quote", "bad-utf8"])
+def test_a_bad_cell_before_a_csv_fault_in_its_chunk_is_named_first(fault):
+    # Read a chunk ahead, the rows read before a csv or UTF-8 fault are still
+    # checked before it is raised, as when the table was read row by row.
+    rows = [b"1000000,2\n"] * 1000  # 10 bytes a row, so row 819 is the first one past 8 KiB
+    rows[799] = b"1000000,x\n"
+    rows[829] = b'"1000000,2\n' if fault == "open-quote" else b"1000000,\xff\n"
+    with pytest.raises(SchemaMismatch, match=re.escape("<input>:801: b: expected a finite number, got 'x'")):
+        with tables.read(b"a,b\n" + b"".join(rows)) as table:
+            list(table.chunks(["a", "b"], {0: float, 1: float}, {}, None))
