@@ -58,7 +58,7 @@ class Table:
     def __init__(self, reader) -> None:
         self.header = tuple(cell.strip() for cell in next(reader, []))
         self._reader = reader
-        self._index = None  # of the row of the chunk being read that is handed out
+        self._index = None  # the place, in the chunk being read, of the row handed out
 
     @property
     def line(self) -> int:
