@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
 import itertools
 import json
 import operator
@@ -330,14 +329,14 @@ def _cmd_evaluate(args, out=None) -> None:
 
 
 def _cmd_predict(args, out=None) -> None:
-    from . import dtree
+    from . import dtree, tables
 
     table = dtree.NodeTable.load(args.model)
     # The class and confidence cells of each leaf; csv writes a float as its repr.
     tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
     n = 0
     if out is not None:
-        writer = csv.writer(out, lineterminator="\n")
+        writer = tables.writer(out)
         writer.writerow([a.name for a in table.attributes] + ["predicted", "confidence"])
     for chunk in dtree.instance_rows(args.infile, table.attributes):
         leaf_ids = table.route(chunk)

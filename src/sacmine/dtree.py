@@ -12,7 +12,6 @@ leaf size, an optional depth cap, or a non-positive best score.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from bisect import bisect_right
@@ -850,7 +849,7 @@ def default_schema_path(csv_path) -> Path:
 def write_dataset(data: Dataset, fh, schema_fh) -> None:
     """Write ``data``'s rows to the text file ``fh`` and its schema to ``schema_fh``."""
     schema_fh.write(json.dumps(schema_to_json(data.attributes, data.label), indent=2) + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
+    writer = tables.writer(fh)
     writer.writerow([a.name for a in data.attributes] + [data.label.name])
     writer.writerows(inst.values + (inst.label,) for inst in data.instances)
 

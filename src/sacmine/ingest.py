@@ -16,13 +16,12 @@ shared string, however many rows name it.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress
-from operator import attrgetter, le
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from . import tables
@@ -195,6 +194,14 @@ def _week_limit(weeks_total: int) -> int:
     return weeks_total
 
 
+def _semester(module_code: str, semester_s: str) -> int:
+    """The semester of a roster or module-input row, which must name a module and semester 1 or 2."""
+    semester = _SEMESTERS.get(semester_s)
+    if not module_code or semester is None:
+        raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s}")
+    return semester
+
+
 def _week_beyond(module_code: str, week: int, weeks_total: int) -> WeekOutOfRange:
     return WeekOutOfRange(f"{module_code} week {week} beyond weeks_total {weeks_total}")
 
@@ -337,7 +344,7 @@ def write_event_map_csv(winners: EventMap, fh) -> None:
 
 
 def _write_events(rows, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
+    writer = tables.writer(fh)
     writer.writerow(EVENTS_HEADER)
     writer.writerows(
         (student_id, module_code, semester, week, "present" if present else "absent")
@@ -351,9 +358,7 @@ def read_roster_csv(path) -> list[RosterEntry]:
     with tables.read(Path(path)) as table:
         table.expect(ROSTER_HEADER)
         for module_code, semester_s, registered in table.rows(ROSTER_HEADER, {2: int}):
-            semester = _SEMESTERS.get(semester_s)
-            if not module_code or semester is None:
-                raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s}")
+            semester = _semester(module_code, semester_s)
             if (module_code, semester) in entries:
                 raise SchemaMismatch(f"duplicate row for {module_code} semester {semester}")
             entries[module_code, semester] = RosterEntry(module_code, semester, registered)
@@ -390,16 +395,14 @@ def module_input_rows(path):
     """
     with tables.read(Path(path)) as table:
         table.expect(MODULE_INPUT_HEADER)
-        for rows in table.chunks(MODULE_INPUT_HEADER, {2: int, 3: int}, {1: set(_SEMESTERS)}, _module_input):
-            yield _scored_chunk(rows) or [_scored(*_module_input(row)) for row in table.each(rows)]
+        for rows in table.chunks(MODULE_INPUT_HEADER, {2: int, 3: int}, {}, _module_input):
+            yield [_scored(*_module_input(row)) for row in table.each(rows)]
 
 
 def _module_input(cells) -> tuple:
     """The checked ``(module_code, semester, weeks, taken, avg)`` of a row's cells."""
     module_code, semester_s, weeks, taken, avg_s = cells
-    semester = _SEMESTERS.get(semester_s)
-    if not module_code or semester is None:
-        raise SchemaMismatch(f"bad module_code or semester: {module_code!r},{semester_s}")
+    semester = _semester(module_code, semester_s)
     _week_limit(weeks)
     if taken:
         _check_counts(taken, weeks)
@@ -409,22 +412,6 @@ def _module_input(cells) -> tuple:
     return module_code, semester, weeks, taken, avg
 
 
-def _scored_chunk(rows) -> list[tuple] | None:
-    """The :func:`_scored` rows of a chunk of module inputs with valid
-    semesters, checked a column at a time, or None if a rule fails."""
-    codes, semesters, weeks, taken, cells = zip(*rows)
-    distinct = set(cells) - {""}
-    try:
-        averages = dict(zip(distinct, map(float, distinct)))
-    except ValueError:
-        return None
-    if not (all(codes) and min(weeks) >= 1 and min(taken) >= 0 and all(map(le, taken, weeks))
-            and all(compress(cells, taken))  # no blank average where a week was taken
-            and all(0.0 <= avg <= 100.0 for avg in averages.values())):
-        return None
-    return list(map(_scored, codes, map(_SEMESTERS.get, semesters), weeks, taken, map(averages.get, cells)))
-
-
 def read_module_inputs_csv(path) -> list[tuple]:
     """All the rows of :func:`module_input_rows` as a list."""
     return list(chain.from_iterable(module_input_rows(path)))
@@ -432,7 +419,7 @@ def read_module_inputs_csv(path) -> list[tuple]:
 
 def write_aggregate_csv(rows: list[tuple], fh) -> None:
     """Write scored rows: attend_avg to 1 decimal, sac to 3, blanks when flagged."""
-    writer = csv.writer(fh, lineterminator="\n")
+    writer = tables.writer(fh)
     writer.writerow(AGGREGATE_HEADER)
     writer.writerows(
         (code, semester, weeks, taken, "" if avg is None else f"{avg:.1f}", "" if value is None else f"{value:.3f}", bin_)

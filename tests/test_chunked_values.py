@@ -136,7 +136,6 @@ def test_the_column_checks_read_what_the_row_path_reads(tmp_path, monkeypatch, r
         patch.setattr(tables, "CHUNK", data.draw(st.sampled_from([1, 3, tables.CHUNK])))
         by_column = read(path)
         patch.setattr(tables, "_by_column", lambda *args: None)
-        patch.setattr(ingest, "_scored_chunk", lambda rows: None)
         by_row = read(path)
     assert repr(by_column) == repr(by_row)
 
