@@ -122,8 +122,11 @@ def first_handed_on(path, hooks, monkeypatch, read):
     for module, name in hooks:  # a function each reader calls on each row it is handed
         function = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, f=function: at_first.append(len(pulled)) or f(*args))
-    first = read(path)
-    return at_first[0] if hooks else (next(first), len(pulled))[1]
+    handed_on = read(path)
+    if hooks:
+        return at_first[0]
+    next(handed_on)  # the first row or chunk of a reader that yields them
+    return len(pulled)
 
 
 # reader -> (header, valid row i with a quoted cell over two lines or not, hooks, read)
