@@ -172,11 +172,11 @@ def _tree(data, args):
         raise ValueError(f"--min-leaf: {exc}") from None
 
 
-def _read_events(path: str, weeks_total: int | None, file):
+def _read_events(source, weeks_total: int | None, file):
     """Stream an events CSV into its event map, printing its row accounting to ``file``."""
     from . import ingest
 
-    winners, parsed, cleaning = ingest.read_event_map(Path(path), weeks_total)
+    winners, parsed, cleaning = ingest.read_event_map(source, weeks_total)
     print(
         f"read {parsed.rows_read} rows: kept {parsed.rows_kept}, rejected {parsed.rows_rejected}",
         file=file,
@@ -194,33 +194,36 @@ def _read_events(path: str, weeks_total: int | None, file):
 def _cmd_ingest(args, out=None) -> None:
     from . import ingest
 
-    winners = _read_events(args.infile, None, sys.stdout)
+    winners = _read_events(Path(args.infile), None, sys.stdout)
     if out is not None:
         ingest.write_event_map_csv(winners, out)
 
 
 def _score_rows_from_input(args):
-    """Score an events CSV (row accounting goes to stderr) or module inputs, in chunks of rows."""
+    """Score an events CSV (row accounting goes to stderr) or module inputs, in chunks of rows.
+    --in is opened once, so it may be a pipe. An option the input rules out is raised before
+    any row is read, but outside the table, which would put a line number on its message."""
     from . import ingest, tables
 
     with tables.read(Path(args.infile)) as table:
         is_events = table.header == ingest.EVENTS_HEADER
-    if not is_events:
-        for name, column in (("weeks", "weeks_total"), ("roster", "attend_avg")):
-            if getattr(args, name) is not None:
-                raise ValueError(
-                    f"{args.infile}: --{name} applies only to an events CSV; module inputs carry {column}"
-                )
-        return ingest.module_input_rows(args.infile)
-    weeks = 11 if args.weeks is None else args.weeks
+        if not is_events and args.weeks is None and args.roster is None:
+            yield from ingest.module_input_rows(table)
+            return
+        weeks = 11 if args.weeks is None else args.weeks
+        winners = _read_events(table, weeks, sys.stderr) if is_events and weeks >= 1 else None
+    del table  # the reader and its last chunk, before the roster is read
+    for name, column in (("weeks", "weeks_total"), ("roster", "attend_avg")):
+        if not is_events and getattr(args, name) is not None:
+            raise ValueError(f"{args.infile}: --{name} applies only to an events CSV; module inputs carry {column}")
     if weeks < 1:
         raise ValueError(f"--weeks: weeks_total must be >= 1, got {weeks}")
-    winners = _read_events(args.infile, weeks, sys.stderr)
     roster = None if args.roster is None else ingest.read_roster_csv(args.roster)
     records, rejections = ingest.aggregate_event_map(winners, roster, weeks)
+    del winners  # the map, before the rows are scored and written
     for diag in rejections:
         print(f"rejected record: {diag}", file=sys.stderr)
-    return tables.chunks(ingest.score_rows(records))
+    yield from tables.chunks(ingest.score_rows(records))
 
 
 def _summarised(chunks):
@@ -369,7 +372,7 @@ def _cmd_gen(args, out=None, schema=None) -> None:
     source = fixtures.path(fixtures.RULE_THRESHOLDS) if args.thresholds is None else Path(args.thresholds)
     try:
         thresholds = json.loads(source.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ValueError(f"{source}: {type(exc).__name__}: {exc}") from None
     try:
         data = synthgen.generate_rule_labeled_dataset(thresholds, args.n, args.seed)

@@ -183,7 +183,7 @@ def _preorder(tree: TreeNode):
 
 
 class NodeTable:
-    """A tree's ``splits`` and ``leaves`` in preorder, for routing many rows.
+    """A tree's ``leaves`` in preorder, for routing many rows.
 
     It checks that every node fits the schema ``attributes`` and ``label``,
     and raises SchemaMismatch where one does not: a split must name the
@@ -193,7 +193,6 @@ class NodeTable:
 
     def __init__(self, tree: TreeNode, attributes, label: AttributeSpec):
         self.root, self.attributes, self.label = tree, attributes, label
-        self.splits: list[Split] = []
         self.leaves: list[Leaf] = []
         self._paths: list[tuple[Condition, ...]] = []  # each leaf's conditions
         for node, conds in _preorder(tree):
@@ -216,7 +215,6 @@ class NodeTable:
                 else isinstance(node.branches, dict) and set(node.branches) == set(spec.domain)
             ):
                 raise SchemaMismatch(f"split on {node.attribute!r} does not fit the schema")
-            self.splits.append(node)
         # A leaf placed twice in the tree takes the number of its last place.
         self._number = {id(leaf): j for j, leaf in enumerate(self.leaves)}
 
@@ -866,7 +864,7 @@ def _read_schema(schema_path: Path) -> tuple[tuple[AttributeSpec, ...], Attribut
     """The attributes and label of the sidecar schema at ``schema_path``."""
     try:
         return schema_from_json(json.loads(schema_path.read_text(encoding="utf-8")))
-    except (SchemaMismatch, ValueError) as exc:
+    except (SchemaMismatch, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaMismatch(f"{schema_path}: {exc}") from None
 
 

@@ -21,7 +21,6 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 
 from . import tables
@@ -125,9 +124,9 @@ def clean_events(events: list[AttendanceEvent]) -> tuple[list[AttendanceEvent], 
     sorted by key (module, semester, week, student), so the result is a
     pure function of the input set.
     """
-    rows = (((e.module_code, e.semester, e.week_index), e.student_id, e) for e in events)
-    winners, report = _dedupe(rows, attrgetter("present"))
-    return [winner for _, _, winner in _sorted(winners)], report
+    rows = (((e.module_code, e.semester, e.week_index), e.student_id, e.present) for e in events)
+    winners, report = _dedupe(rows)
+    return [AttendanceEvent(student_id, *group, present) for group, student_id, present in _sorted(winners)], report
 
 
 def aggregate(
@@ -267,21 +266,18 @@ def _week(cell: str) -> int:
         return 0
 
 
-def _dedupe(rows, present=bool) -> tuple[dict, CleaningReport]:
-    """Keep one value per key from ``(group, student_id, value)`` rows, as
-    ``group -> {student_id: value}`` in first-seen order: the first seen,
-    unless a later one is present where it is absent. ``present`` reads a
-    value's status; it is called only for a key seen before."""
+def _dedupe(rows) -> tuple[dict, CleaningReport]:
+    """Keep one status per key of ``(group, student_id, present)`` rows, as ``group ->
+    {student_id: present}`` in first-seen order; present wins. True and False are singletons."""
     winners: dict = {}
     conflicts: set = set()
     read = 0
-    for read, (group, student_id, value) in enumerate(rows, 1):
+    for read, (group, student_id, present) in enumerate(rows, 1):
         students = winners.setdefault(group, {})
-        winner = students.setdefault(student_id, value)
-        if winner is not value and present(winner) != present(value):
+        if students.setdefault(student_id, present) is not present:
             conflicts.add((group, student_id))
-            if present(value):
-                students[student_id] = value
+            if present:
+                students[student_id] = present
     kept = sum(map(len, winners.values()))
     report = CleaningReport(read, kept, read - kept, len(conflicts))
     report.check()
@@ -383,8 +379,8 @@ def score_rows(records: list[ModuleTermRecord]) -> list[tuple]:
     return rows
 
 
-def module_input_rows(path):
-    """Score pre-aggregated module inputs, yielding a chunk of rows at a time.
+def module_input_rows(source):
+    """Score pre-aggregated module inputs (a path or an open ``tables.Table``), a chunk of rows at a time.
 
     Expects header ``module_code,semester,weeks_total,attendance_taken,attend_avg``;
     yields rows of the same shape as :func:`score_rows`. Each row is checked in
@@ -393,7 +389,7 @@ def module_input_rows(path):
     ``attend_avg`` in [0, 100], which may be blank only when no week was taken.
     A chunk that fails its column checks is checked again row by row.
     """
-    with tables.read(Path(path)) as table:
+    with tables.read(source if isinstance(source, tables.Table) else Path(source)) as table:
         table.expect(MODULE_INPUT_HEADER)
         for rows in table.chunks(MODULE_INPUT_HEADER, {2: int, 3: int}, {}, _module_input):
             yield [_scored(*_module_input(row)) for row in table.each(rows)]

@@ -162,7 +162,10 @@ def read(source):
     copied. Bad UTF-8 and ``csv`` faults raise MalformedInput; any domain
     error or ValueError raised while the table is read gains ``file:line``:
     for a ``csv`` fault, the line after the last row read, where its own row
-    begins, so a pipe names the same line as a file."""
+    begins, so a pipe names the same line as a file. A :class:`Table` is handed back as is."""
+    if isinstance(source, Table):
+        yield source
+        return
     with ExitStack() as stack:
         if isinstance(source, os.PathLike):
             source = stack.enter_context(open(source, "rb"))

@@ -32,18 +32,17 @@ def test_one_pair_of_a_tree_against_itself(tmp_path):
 
 
 def test_the_spawner_reads_each_child_below_this_process_peak():
-    """A child's ``ru_maxrss`` starts at the peak of the process that spawns it.
-    A spawner that tools/ab.py forks while small reads a child that does
-    nothing below the peak of a parent that has grown by 64 MiB since, and a
-    child that allocates 50 MiB within 5 MiB of 50 MiB plus that floor."""
+    """A child's ``ru_maxrss`` starts at the peak of the process that forks it.
+    tools/ab.py's run_child, through its small helper, reads a child that does
+    nothing below the peak of a parent that has grown by 64 MiB, and a child
+    that allocates 50 MiB within 5 MiB of 50 MiB plus that floor."""
     script = f"""
 import json, os, resource, sys
 sys.path.insert(0, {str(ROOT / "tools")!r})
 import ab
-spawner = ab.Spawner()
 ballast = b"x" * (64 << 20)
 def rss(code):
-    return spawner.run([sys.executable, "-c", code], ".", dict(os.environ), os.devnull, os.devnull)[2]
+    return ab.run_child([sys.executable, "-c", code], ".", dict(os.environ), os.devnull, os.devnull)[2]
 print(json.dumps([rss("pass"), rss("b = b'x' * (50 << 20)"), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

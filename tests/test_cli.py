@@ -676,8 +676,10 @@ def test_gen_rejects_an_option_of_the_other_kind(capsys, tmp_path, argv, reason)
      (b"not json", "ValueError: {path}: JSONDecodeError: Expecting value: line 1 column 1 (char 0)\n"),
      (b"\xff[50]", "ValueError: {path}: UnicodeDecodeError: "),
      (b"[95, 90, 85, 80, 70, 60, 50, 40, 30, 20]",
-      "InvalidThresholds: at most 9 thresholds fit the 10 strength classes\n")],
-    ids=["text-item", "object", "string", "number", "bool-item", "not-json", "not-utf8", "ten-thresholds"],
+      "InvalidThresholds: at most 9 thresholds fit the 10 strength classes\n"),
+     (b"[" * 100_000, "ValueError: {path}: RecursionError: maximum recursion depth exceeded")],
+    ids=["text-item", "object", "string", "number", "bool-item", "not-json", "not-utf8", "ten-thresholds",
+         "nested-too-deep"],
 )
 def test_gen_rejects_thresholds_that_are_not_a_list_of_numbers(capsys, tmp_path, content, message):
     thresholds = tmp_path / "t.json"
@@ -756,6 +758,23 @@ def test_a_model_nested_too_deep_to_read_names_the_model(capsys, tmp_path, comma
     err = capsys.readouterr().err
     assert err.startswith(f"error: SchemaMismatch: {model}: malformed model: RecursionError: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["train"], ["evaluate", "--fraction", "0.7"], ["evaluate", "--model", "{model}"]],
+                         ids=["train", "evaluate-split", "evaluate-model"])
+def test_a_sidecar_schema_nested_too_deep_to_read_names_the_schema(capsys, tmp_path, argv):
+    ds = make_dataset(tmp_path)
+    model = tmp_path / "model.json"
+    assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+    schema = tmp_path / "ds.schema.json"
+    schema.write_text("[" * 100_000)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    argv = [arg.format(model=model) for arg in argv]
+    assert run([argv[0], "--in", str(ds), *argv[1:], "--out", str(out)]) == 1
+    assert the_one_error_line(capsys).startswith(
+        f"error: SchemaMismatch: {schema}: maximum recursion depth exceeded")
+    assert not out.exists()
 
 
 def test_a_model_leaf_with_a_probability_above_one_names_the_model(capsys, tmp_path):
@@ -1001,6 +1020,30 @@ def test_gen_events_names_a_count_below_one_by_its_option(capsys, tmp_path, opti
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"error: InvalidParams: {option}: {field} must be >= 1, got 0\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["events", "module-inputs"])
+def test_score_reads_a_pipe_as_it_reads_the_file(tmp_path, kind):
+    """score opens --in once, so /dev/stdin fed by a pipe gives the bytes of
+    the file run: stdout, stderr and --out."""
+    source = Path(MODULE_SAMPLE)
+    if kind == "events":
+        source = tmp_path / "events.csv"
+        assert run(["gen", "--kind", "events", "--modules", "3", "--seed", "2", "--out", str(source)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(sacmine.__file__).resolve().parents[1]))
+    runs = []
+    for name, path, stdin in (("file", source, None), ("pipe", "/dev/stdin", source.read_bytes())):
+        out = tmp_path / f"{name}.csv"
+        done = subprocess.run([sys.executable, "-m", "sacmine", "score", "--in", str(path), "--out", str(out)],
+                              input=stdin, env=env, capture_output=True)
+        runs.append((done.returncode, done.stdout, done.stderr, out.read_bytes() if out.exists() else None))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
+    if kind == "module-inputs":
+        done = subprocess.run([sys.executable, "-m", "sacmine", "score", "--in", "/dev/stdin", "--weeks", "5"],
+                              input=source.read_bytes(), env=env, capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", (
+            "error: ValueError: /dev/stdin: --weeks applies only to an events CSV; module inputs carry weeks_total\n"))
 
 
 @pytest.mark.parametrize("weeks", ["0", "-3"])

@@ -162,7 +162,7 @@ def test_a_tree_deeper_than_the_recursion_limit_is_walked_without_recursion():
         label = LABEL.domain[i % 3]
         tree = Split("x", 0, threshold=float(i), le=Leaf(label, {label: 1.0}, 1), gt=tree)
     table = NodeTable(tree, ATTRIBUTES, LABEL)
-    assert len(table.splits) == depth and len(table.leaves) == depth + 1
+    assert len(collect_splits(tree)) == depth and len(table.leaves) == depth + 1
     assert count_nodes(tree) == 2 * depth + 1
     assert [s.threshold for s in collect_splits(tree)] == [float(i) for i in range(depth)]
     rules = extract_rules(tree)

@@ -14,14 +14,15 @@ Printed per step and for the whole job: each side's median wall time, CPU
 time and peak RSS (a job's peak is its largest step's), the median [Q1, Q3]
 of the CHANGE/BASE ratio over the pairs, and in how many pairs CHANGE was
 faster, or for RSS lower. On Linux a child's peak RSS (``ru_maxrss``)
-starts at the peak of the process that spawns it, so every child is spawned
-by a small process forked before this one imports perfbench or reads any
-input, and each step reads its own peak. The header states this process's
-own peak and the spawner's floor, the peak of a child that does nothing.
-The last lines say whether both trees wrote byte-identical outputs (each
-step's ``--out`` file and stdout), for the set-up steps, if the workload has
-any, and then for the timed steps. perfbench is only read: its workload
-table, child runner and file hashes are imported.
+starts at the peak of the process that forks it, so each child is run
+through a fresh ``python -I -S`` helper that has read no input: it forks,
+execs the child and waits for it, and each step reads its own peak. The
+header states this process's own peak and the floor, the peak of a child
+that does nothing. The last lines say whether both trees wrote
+byte-identical outputs (each step's ``--out`` file and stdout), for the
+set-up steps, if the workload has any, and then for the timed steps.
+perfbench is only read: its workload table, child runner and file hashes
+are imported.
 """
 
 from __future__ import annotations
@@ -35,79 +36,49 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
-import traceback
 from pathlib import Path
-
-
-class Spawner:
-    """A process, forked while this one is small, that runs children one at a
-    time and reports each one's wall time, CPU time, peak RSS and exit code."""
-
-    def __init__(self) -> None:
-        requests, self._requests = os.pipe()
-        self._replies, replies = os.pipe()
-        if os.fork() == 0:
-            os.close(self._requests)
-            os.close(self._replies)
-            _serve(requests, replies)
-        os.close(requests)
-        os.close(replies)
-        self._send = os.fdopen(self._requests, "w", encoding="utf-8")
-        self._receive = os.fdopen(self._replies, encoding="utf-8")
-
-    def run(self, argv, cwd, env, stdout, stderr) -> tuple[float, float, float, int]:
-        """Run ``argv`` in ``cwd`` with ``env``, its output to the files
-        ``stdout`` and ``stderr``: its wall and CPU seconds, peak RSS in MiB
-        and exit code."""
-        self._send.write(json.dumps([list(map(str, argv)), str(cwd), env, str(stdout), str(stderr)]) + "\n")
-        self._send.flush()
-        reply = self._receive.readline()
-        if not reply:
-            raise SystemExit(f"the spawner stopped before it ran {argv}")
-        return tuple(json.loads(reply))
-
-
-def _serve(requests: int, replies: int) -> None:
-    """The spawner's loop: one child per request line, until the requests end."""
-    try:
-        with open(requests, encoding="utf-8") as inbox, open(replies, "w", encoding="utf-8") as outbox:
-            for line in inbox:
-                argv, cwd, env, stdout, stderr = json.loads(line)
-                with open(stdout, "wb") as out, open(stderr, "wb") as err:
-                    t0 = time.perf_counter()
-                    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err)
-                    _, status, usage = os.wait4(proc.pid, 0)
-                    wall = time.perf_counter() - t0
-                proc.returncode = os.waitstatus_to_exitcode(status)
-                reply = [wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, proc.returncode]
-                outbox.write(json.dumps(reply) + "\n")
-                outbox.flush()
-    except BaseException:
-        traceback.print_exc()
-    finally:
-        os._exit(0)
-
-
-# Run as a script, the spawner is forked here, while this process is small.
-SPAWNER = Spawner() if __name__ == "__main__" else None
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # import perfbench without writing into it
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WORKLOADS, Child, Runner, hash_files, step_outputs  # noqa: E402
 
+# The helper that run_child starts for each child. It forks, points the
+# child's stdout and stderr at the two files, execs it in its directory, waits
+# for it and prints one JSON line: wall and CPU seconds, peak RSS in MiB and
+# the exit code. A child that cannot be started exits 1 with its traceback in
+# its stderr file.
+_HELPER = """
+import json, os, sys, time
+argv, cwd, env, stdout, stderr = json.loads(sys.argv[1])
+t0 = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    for fd, path in ((1, stdout), (2, stderr)):
+        os.dup2(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666), fd)
+    os.chdir(cwd)
+    os.execvpe(argv[0], argv, env)
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - t0
+print(json.dumps([wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status)]))
+"""
+
+
+def run_child(argv, cwd, env, stdout, stderr) -> tuple[float, float, float, int]:
+    """Run ``argv`` in ``cwd`` with ``env``, its output to the files ``stdout``
+    and ``stderr``, through a fresh helper: its wall and CPU seconds, peak RSS
+    in MiB and exit code. The helper has read no input, so the peak is the child's own."""
+    request = json.dumps([list(map(str, argv)), str(cwd), env, str(stdout), str(stderr)])
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _HELPER, request], stdout=subprocess.PIPE, check=True)
+    return tuple(json.loads(done.stdout))
+
 
 class SpawnedRunner(Runner):
-    """perfbench's Runner, whose children ``spawner`` runs."""
-
-    def __init__(self, spawner: Spawner, root: Path, work: Path):
-        super().__init__(root, work)
-        self.spawner = spawner
+    """perfbench's Runner, whose children :func:`run_child` runs."""
 
     def _spawn(self, name: str, argv: list[str]) -> Child:
         out, err = self.work / f"{name}.stdout", self.work / f"{name}.stderr"
-        return Child(name, *self.spawner.run(argv, self.work, self.env, out, err))
+        return Child(name, *run_child(argv, self.work, self.env, out, err))
 
 
 def _ok(runner: Runner, child) -> tuple[float, float, float]:
@@ -119,9 +90,9 @@ def _ok(runner: Runner, child) -> tuple[float, float, float]:
     return child.wall_s, child.cpu_s, child.rss_mib
 
 
-def _floor_mib(spawner: Spawner) -> float:
-    """The peak RSS of a Python child that does nothing, run by ``spawner``, in MiB."""
-    return spawner.run([sys.executable, "-c", "pass"], ROOT, dict(os.environ), os.devnull, os.devnull)[2]
+def _floor_mib() -> float:
+    """The peak RSS of a Python child that does nothing, run by :func:`run_child`, in MiB."""
+    return run_child([sys.executable, "-c", "pass"], ROOT, dict(os.environ), os.devnull, os.devnull)[2]
 
 
 def _own_mib() -> float:
@@ -156,21 +127,21 @@ def main(argv=None) -> int:
             parser.error(f"no sacmine source at {tree / 'src' / 'sacmine'}")
     work = args.work or Path(tempfile.mkdtemp(prefix="sacmine-ab-"))
     try:
-        return compare(wl, args.seed, args.pairs, trees, work, SPAWNER or Spawner())
+        return compare(wl, args.seed, args.pairs, trees, work)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
 
 
-def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path, spawner: Spawner) -> int:
-    inputs = SpawnedRunner(spawner, ROOT, work / "inputs")
+def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path) -> int:
+    inputs = SpawnedRunner(ROOT, work / "inputs")
     inputs.work.mkdir(parents=True, exist_ok=True)
     _ok(inputs, inputs.generate(wl.name, seed))
     # The set-up steps run with each tree in its own copy of the generated
     # inputs; only BASE's outputs feed the timed steps.
     setups = {
-        "base": SpawnedRunner(spawner, trees["base"], inputs.work),
-        "change": SpawnedRunner(spawner, trees["change"], work / "setup-change"),
+        "base": SpawnedRunner(trees["base"], inputs.work),
+        "change": SpawnedRunner(trees["change"], work / "setup-change"),
     }
     if wl.setup_steps:
         shutil.copytree(inputs.work, setups["change"].work, dirs_exist_ok=True)
@@ -185,7 +156,7 @@ def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path, spawn
         (work / side).mkdir(exist_ok=True)
         for name in wl.inputs:
             shutil.copy(inputs.work / name, work / side / name)
-        runners[side] = SpawnedRunner(spawner, tree, work / side)
+        runners[side] = SpawnedRunner(tree, work / side)
 
     steps = [command for command, _ in wl.steps]
     times = {side: {key: [] for key in ["job", *steps]} for side in trees}
@@ -200,8 +171,8 @@ def compare(wl, seed: int, pairs: int, trees: dict[str, Path], work: Path, spawn
             times[side]["job"].append(tuple(job))
 
     print(f"# {wl.name} seed {seed}, {pairs} pairs; base {trees['base']}, change {trees['change']}")
-    print(f"# each child's rss_mib is its own peak, read by a spawner forked before this process peaked at "
-          f"{_own_mib():.3f} MiB; it is at least that of a child that does nothing, {_floor_mib(spawner):.3f} MiB")
+    print(f"# each child's rss_mib is its own peak, read through a small helper while this process peaked at "
+          f"{_own_mib():.3f} MiB; it is at least that of a child that does nothing, {_floor_mib():.3f} MiB")
     print("# row: base median, change median, change/base ratio median [Q1, Q3], pairs change faster or lower")
     for key in ["job", *steps]:
         for i, (metric, better) in enumerate((("wall_s", "faster"), ("cpu_s", "faster"), ("rss_mib", "lower"))):
