@@ -158,9 +158,8 @@ def read_event_map(
     :func:`clean_events` does, with no object or key kept per row, so memory
     grows with the distinct keys, not with the file. Returns the map, its
     registers and each one's students in first-seen order, with the parse
-    and the cleaning report. With
-    ``weeks_total``, a valid row for a later week raises WeekOutOfRange
-    naming its line.
+    and the cleaning report. With ``weeks_total``, a valid row for a later
+    week raises WeekOutOfRange naming its line.
     """
     limit = math.inf if weeks_total is None else _week_limit(weeks_total)
     parsed = CleaningReport()
@@ -182,9 +181,9 @@ def aggregate_event_map(
 #: The semester rule of the events, roster and module-input readers: the trimmed text 1 or 2.
 _SEMESTERS = {"1": 1, "2": 2}
 _STATUSES = {"present": True, "absent": False}
-#: Distinct raw week cells that :func:`_valid_rows` remembers; a log has a few
-#: dozen, and a file of distinct junk weeks must not grow the cache with it.
-_WEEK_CELLS = 1024
+#: Distinct raw (semester, week, status) cells that :func:`_valid_rows` decodes and keeps;
+#: a log has a few dozen, and a file of distinct junk cells must not grow the memo with it.
+_CELL_TRIPLES = 1024
 
 
 def _week_limit(weeks_total: int) -> int:
@@ -211,12 +210,13 @@ def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf):
     student_id, present)``, in file order.
 
     The header must be :data:`EVENTS_HEADER`. Every other row is counted in
-    ``report`` under its first defect; a valid row for a week beyond
-    ``weeks_total`` raises WeekOutOfRange. Cells are judged trimmed. Each
-    distinct id is one string object, shared by its rows.
+    ``report`` under its first defect in this order: wrong field count, empty
+    student_id, empty module_code, bad semester, bad week, unknown status. A
+    valid row for a week beyond ``weeks_total`` raises WeekOutOfRange. Cells are
+    judged trimmed. Each distinct id is one string object, shared by its rows.
     """
     ids: dict[str, str] = {}  # each id kept so far, to itself
-    weeks: dict[str, int] = {}  # raw week cell -> its week, 0 when it is none
+    decoded: dict[tuple[str, str, str], tuple] = {}  # raw cell triple -> _decode of it
     with tables.read(source) as table:
         table.expect(EVENTS_HEADER)
         for row in table:
@@ -233,24 +233,15 @@ def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf):
             if not module_code:
                 report.reject("empty module_code")
                 continue
-            semester = _SEMESTERS.get(semester_s.strip())
-            if semester is None:
-                report.reject("bad semester")
+            try:
+                reason, semester, week, present = decoded[semester_s, week_s, status_s]
+            except KeyError:
+                reason, semester, week, present = _decode(semester_s, week_s, status_s)
+                if len(decoded) < _CELL_TRIPLES:
+                    decoded[semester_s, week_s, status_s] = reason, semester, week, present
+            if reason:
+                report.reject(reason)
                 continue
-            week = weeks.get(week_s)
-            if week is None:
-                week = _week(week_s)
-                if len(weeks) < _WEEK_CELLS:
-                    weeks[week_s] = week
-            if week < 1:
-                report.reject("bad week")
-                continue
-            present = _STATUSES.get(status_s)
-            if present is None:
-                present = _STATUSES.get(status_s.strip().lower())
-                if present is None:
-                    report.reject("unknown status")
-                    continue
             if week > weeks_total:
                 raise _week_beyond(module_code, week, weeks_total)
             report.rows_kept += 1
@@ -258,12 +249,22 @@ def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf):
             yield (module_code, semester, week), ids.setdefault(student_id, student_id), present
 
 
-def _week(cell: str) -> int:
-    """The week a week cell names once trimmed, or 0 when it names no integer."""
+def _decode(semester_s: str, week_s: str, status_s: str) -> tuple[str, int, int, bool]:
+    """``(reason, semester, week, present)`` of an events row's trimmed semester, week and status
+    cells: the reason to reject the row, by the first rule it breaks, or "" and the values they name."""
+    semester = _SEMESTERS.get(semester_s.strip())
+    if semester is None:
+        return "bad semester", 0, 0, False
     try:
-        return int(cell.strip())
+        week = int(week_s.strip())
     except ValueError:
-        return 0
+        week = 0
+    if week < 1:
+        return "bad week", 0, 0, False
+    present = _STATUSES.get(status_s.strip().lower())
+    if present is None:
+        return "unknown status", 0, 0, False
+    return "", semester, week, present
 
 
 def _dedupe(rows) -> tuple[dict, CleaningReport]:
@@ -279,9 +280,7 @@ def _dedupe(rows) -> tuple[dict, CleaningReport]:
             if present:
                 students[student_id] = present
     kept = sum(map(len, winners.values()))
-    report = CleaningReport(read, kept, read - kept, len(conflicts))
-    report.check()
-    return winners, report
+    return winners, CleaningReport(read, kept, read - kept, len(conflicts))
 
 
 def _sorted(winners: dict):
@@ -350,7 +349,7 @@ def _write_events(rows, fh) -> None:
 
 def read_roster_csv(path) -> list[RosterEntry]:
     """Read a roster: one row per module-semester, with a count >= 1."""
-    entries: dict[tuple[str, str], RosterEntry] = {}
+    entries: dict[tuple[str, int], RosterEntry] = {}
     with tables.read(Path(path)) as table:
         table.expect(ROSTER_HEADER)
         for module_code, semester_s, registered in table.rows(ROSTER_HEADER, {2: int}):

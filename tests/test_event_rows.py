@@ -1,19 +1,21 @@
 """The events row loop against a reference that states the row rules directly.
 
 ``read_event_map`` and ``parse_events`` validate rows in one lean loop
-that trims only the cells it checks and remembers the week of each raw
-week cell. ``reference_ingest.valid_events`` trims every cell first and
-then applies the documented rules in order, with no code shared with that
-loop. On cells with surrounding whitespace (``\\x1c`` and ``\\x85``
-among it, which ``str.strip`` removes but ``int`` does not accept),
-underscores and non-ASCII digits in weeks, mixed-case statuses, blank ids
-and wrong widths, the two must keep the same rows, in the same order, with
-the same reports.
+that trims only the cells it checks and decodes each distinct raw
+semester, week and status triple once. ``reference_ingest.valid_events``
+trims every cell first and then applies the documented rules in order,
+with no code shared with that loop. On cells with surrounding whitespace
+(``\\x1c`` and ``\\x85`` among it, which ``str.strip`` removes but ``int``
+does not accept), underscores and non-ASCII digits in weeks, mixed-case
+statuses, blank ids and wrong widths, the two must keep the same rows, in
+the same order, with the same reports.
 """
 
 import csv
 import io
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_ingest as ref
@@ -65,3 +67,21 @@ def test_the_row_loop_keeps_the_documented_rules(text):
         cleaned.setdefault(event.key[:3], {})[event.student_id] = event.present
     assert winners == cleaned
     assert ingest.parse_events(text) == (events, ref_parsed)
+
+
+@pytest.mark.parametrize(
+    "row, reason", [("s{},M1,1,w{},present", "bad week"), ("s{},M1,1,1,status{}", "unknown status")]
+)
+def test_distinct_junk_cells_do_not_grow_the_memo(tmp_path, row, reason):
+    """The loop keeps the decoded cells of at most ``ingest._CELL_TRIPLES`` triples."""
+    events = tmp_path / "events.csv"
+    events.write_text(",".join(ingest.EVENTS_HEADER) + "\n" + "".join(row.format(i, i) + "\n" for i in range(50_000)))
+    tracemalloc.start()
+    try:
+        winners, parsed, cleaning = ingest.read_event_map(events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (winners, parsed.rows_read, parsed.rows_kept) == ({}, 50_000, 0)
+    assert parsed.rejection_reasons == {reason: 50_000}
+    assert peak < 2**20

@@ -1,0 +1,116 @@
+"""Commands read their own and each other's output back the same.
+
+Small events logs, whose ids and module codes hold commas, quotes, spaces,
+line feeds and non-ASCII text, run through ``cli.run``:
+
+- ``ingest`` of its own ``--out`` writes the same bytes;
+- ``score --out`` of the cleaned file equals ``score --out`` of the raw
+  file, with and without a roster, with the same exit code;
+- ``score --format json`` values, rounded as the CSV rounds them, equal the
+  ``--format csv`` cells;
+- ``parse_events`` and ``read_event_map`` give the same parse report.
+
+The text leaves out the carriage return: ``tables.writer`` writes a cell
+that holds a lone ``\\r`` unquoted before Python 3.13, so such a cell does
+not read back (the carriage-return FOUND in CHANGES.md).
+``test_a_lone_carriage_return_reads_back`` keeps that case in view.
+"""
+
+import csv
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sacmine import ingest
+from sacmine.cli import run
+
+TEXT = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from([",", '"', " ", "\n"]), max_size=6
+)
+IDS = st.sampled_from(["s1", " s2 ", "s,3", ""]) | TEXT
+MODULES = st.sampled_from(["M1", "M 2", '"M3"', "M\n4"]) | TEXT
+SEMESTERS = st.sampled_from(["1", "2", " 2 ", "3", "x"])
+WEEKS = st.sampled_from(["1", "2", " 3", "11", "1_0", "12", "0", "x"])
+STATUSES = st.sampled_from(["present", "absent", " Present ", "ABSENT", "late"])
+ROW = st.tuples(IDS, MODULES, SEMESTERS, WEEKS, STATUSES).map(list)
+
+
+def write_csv(path: Path, header, rows) -> Path:
+    """An input CSV with every cell quoted, so that each cell reads back on every interpreter."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+@st.composite
+def logs(draw):
+    """Events rows, some repeated and some of the wrong width, and roster rows for some of their modules."""
+    rows = draw(st.lists(ROW | st.just(["s1", "M1", "1"]), max_size=20))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=8)) if rows else []
+    rows = draw(st.permutations(rows))
+    modules = sorted(
+        {(row[1].strip(), row[2].strip()) for row in rows if len(row) == 5 and row[1].strip() and row[2] in ("1", "2")}
+    )
+    named = draw(st.lists(st.sampled_from(modules), unique=True)) if modules else []
+    roster = [(module_code, semester, draw(st.integers(1, 6))) for module_code, semester in named]
+    return rows, roster
+
+
+def scored(argv, out: Path) -> tuple[int, bytes | None]:
+    """The exit code of a ``score`` run and the bytes of its ``--out``, None when it wrote none."""
+    out.unlink(missing_ok=True)
+    code = run([*argv, "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+def csv_cells(row: dict) -> list[str]:
+    """The cells ``score --format csv`` writes for a ``score --format json`` object."""
+    avg, sac = row["attend_avg"], row["sac"]
+    return [
+        row["module_code"], str(row["semester"]), str(row["weeks_total"]), str(row["attendance_taken"]),
+        "" if avg is None else f"{avg:.1f}", "" if sac is None else f"{sac:.3f}", str(row["sac_strength"]),
+    ]
+
+
+def check_read_back(work: Path, rows, roster) -> None:
+    raw = write_csv(work / "raw.csv", ingest.EVENTS_HEADER, rows)
+    cleaned, again = work / "cleaned.csv", work / "again.csv"
+    assert run(["ingest", "--in", str(raw), "--out", str(cleaned)]) == 0
+    assert run(["ingest", "--in", str(cleaned), "--out", str(again)]) == 0
+    assert again.read_bytes() == cleaned.read_bytes()
+
+    assert ingest.parse_events(raw)[1] == ingest.read_event_map(raw)[1]
+
+    roster_csv = write_csv(work / "roster.csv", ingest.ROSTER_HEADER, roster)
+    for extra in ([], ["--roster", str(roster_csv)]):
+        raw_scored = scored(["score", "--in", str(raw), *extra], work / "raw-scored.csv")
+        assert scored(["score", "--in", str(cleaned), *extra], work / "cleaned-scored.csv") == raw_scored
+        code, text = scored(["score", "--in", str(raw), *extra, "--format", "json"], work / "scored.json")
+        assert code == raw_scored[0]
+        if code == 0:
+            with (work / "raw-scored.csv").open(encoding="utf-8", newline="") as fh:
+                assert [csv_cells(row) for row in json.loads(text)] == list(csv.reader(fh))[1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(logs())
+def test_events_read_back_through_ingest_and_score(log):
+    rows, roster = log
+    with tempfile.TemporaryDirectory() as work:
+        check_read_back(Path(work), rows, roster)
+
+
+@pytest.mark.xfail(
+    sys.version_info < (3, 13),
+    reason="carriage-return FOUND in CHANGES.md: before Python 3.13 a cell with a lone \\r is written unquoted",
+    strict=True,
+)
+def test_a_lone_carriage_return_reads_back(tmp_path):
+    rows = [["s\r1", "M\r1", "1", "1", "present"], ["s2", "M\r1", "1", "1", "absent"]]
+    check_read_back(tmp_path, rows, [("M\r1", "1", 3)])
