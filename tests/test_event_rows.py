@@ -78,7 +78,7 @@ def test_distinct_junk_cells_do_not_grow_the_memo(tmp_path, row, reason):
     events.write_text(",".join(ingest.EVENTS_HEADER) + "\n" + "".join(row.format(i, i) + "\n" for i in range(50_000)))
     tracemalloc.start()
     try:
-        winners, parsed, cleaning = ingest.read_event_map(events)
+        winners, parsed, _ = ingest.read_event_map(events)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
