@@ -4,23 +4,27 @@ Raw event logs are noisy: duplicated scans, contradictory rows for the
 same student-week, malformed fields. Everything dropped or rewritten is
 counted in a :class:`CleaningReport`; nothing disappears silently.
 
-The CLI streams an events CSV straight into an event map (:func:`read_event_map`)
-with no object per row: one register per module, semester and week, each
-``student_id -> present``, the registers and the students of each in
-first-seen order. :func:`parse_events`, :func:`clean_events`, :func:`aggregate`
-and :func:`write_events_csv` take the same steps over :class:`AttendanceEvent`
-lists. Both paths share one function per rule: row validation, the
-present-wins dedupe and the weekly tally. Both hold each distinct id as one
-shared string, however many rows name it.
+The CLI streams an events CSV straight into a packed event map
+(:func:`read_event_map`) with no object per row: each distinct student id
+numbered once, and one register per module, semester and week, in first-seen
+order, each an ``array('i')`` of one code per student. :func:`parse_events`,
+:func:`clean_events`, :func:`aggregate` and :func:`write_events_csv` take the
+same steps over :class:`AttendanceEvent` lists. Both paths share one function
+per rule: row validation, the present-wins dedupe, the weekly tally and the
+register writer. Both hold each distinct id as one shared string, however many
+rows name it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby, islice, repeat
+from operator import attrgetter, invert
 from pathlib import Path
 
 from . import tables
@@ -32,10 +36,10 @@ ROSTER_HEADER = ("module_code", "semester", "registered")
 MODULE_INPUT_HEADER = ("module_code", "semester", "weeks_total", "attendance_taken", "attend_avg")
 AGGREGATE_HEADER = MODULE_INPUT_HEADER + ("sac", "sac_strength")
 
-# An events log after cleaning, one register per module, semester and week:
-# (module_code, semester, week) -> {student_id: present}. Each distinct module
-# code and student id is one string object, shared by its registers.
-EventMap = dict[tuple[str, int, int], dict[str, bool]]
+# An events log after cleaning, (ids, registers): each distinct student id once, numbered from 0 in
+# first-seen order, and (module_code, semester, week) -> its students as a sorted array of codes, n if
+# ids[n] was present and ~n if absent, in first-seen order. Each module code is one shared string.
+EventMap = tuple[list[str], dict[tuple[str, int, int], array]]
 
 
 @dataclass(frozen=True)
@@ -108,9 +112,10 @@ def parse_events(stream) -> tuple[list[AttendanceEvent], CleaningReport]:
     in that order.
     """
     report = CleaningReport()
+    ids: list[str] = []
     events = [
-        AttendanceEvent(student_id, module_code, semester, week, present)
-        for (module_code, semester, week), student_id, present in _valid_rows(stream, report)
+        AttendanceEvent(ids[n], module_code, semester, week, present)
+        for (module_code, semester, week), n, present in _valid_rows(stream, report, ids=ids)
     ]
     report.check()
     return events, report
@@ -122,11 +127,16 @@ def clean_events(events: list[AttendanceEvent]) -> tuple[list[AttendanceEvent], 
     When the same key carries both a present and an absent row, present
     wins: double scans are far more common than phantom ones. Output is
     sorted by key (module, semester, week, student), so the result is a
-    pure function of the input set.
+    pure function of the input set. Each winner is the first of its key's
+    events with the winning status.
     """
-    rows = (((e.module_code, e.semester, e.week_index), e.student_id, e.present) for e in events)
-    winners, report = _dedupe(rows)
-    return [AttendanceEvent(student_id, *group, present) for group, student_id, present in _sorted(winners)], report
+    rows = [((e.module_code, e.semester, e.week_index), e.student_id, e.present) for e in events]
+    first = dict(zip(reversed(rows), reversed(events)))  # each row's first event
+    number: dict[str, int] = {}  # each student id -> its number, in first-seen order
+    registers, report = _pack((group, number.setdefault(student_id, len(number)), present)
+                              for group, student_id, present in rows)
+    return [first[group, student_id, present] for group, student_ids, presents in _in_key_order(list(number), registers)
+            for student_id, present in zip(student_ids, presents)], report
 
 
 def aggregate(
@@ -151,28 +161,29 @@ def aggregate(
 def read_event_map(
     source, weeks_total: int | None = None
 ) -> tuple[EventMap, CleaningReport, CleaningReport]:
-    """Stream an events CSV straight into its event map, one register per
-    ``(module_code, semester, week)``, each ``student_id -> present``.
+    """Stream an events CSV straight into its packed :data:`EventMap`.
 
     Rows are validated as :func:`parse_events` does and deduplicated as
-    :func:`clean_events` does, with no object or key kept per row, so memory
-    grows with the distinct keys, not with the file. Returns the map, its
-    registers and each one's students in first-seen order, with the parse
-    and the cleaning report. With ``weeks_total``, a valid row for a later
-    week raises WeekOutOfRange naming its line.
+    :func:`clean_events` does, with one 4-byte code kept per row until its
+    register is compacted, so memory grows with the distinct keys, not with
+    the file. Returns the map, its registers in first-seen order and each
+    one's students by number, with the parse and the cleaning report. With
+    ``weeks_total``, a valid row for a later week raises WeekOutOfRange
+    naming its line.
     """
     limit = math.inf if weeks_total is None else _week_limit(weeks_total)
-    parsed = CleaningReport()
-    winners, cleaning = _dedupe(_valid_rows(source, parsed, limit))
+    parsed, ids = CleaningReport(), []
+    registers, cleaning = _pack(_valid_rows(source, parsed, limit, ids))
     parsed.check()
-    return winners, parsed, cleaning
+    return (ids, registers), parsed, cleaning
 
 
 def aggregate_event_map(
     winners: EventMap, roster: list[RosterEntry] | None = None, weeks_total: int = 11
 ) -> tuple[list[ModuleTermRecord], list[str]]:
     """:func:`aggregate` over an event map from :func:`read_event_map`, unsorted."""
-    groups = ((group, sum(students.values()), students) for group, students in winners.items())
+    splits = ((group, codes, bisect_left(codes, 0)) for group, codes in winners[1].items())
+    groups = ((group, len(codes) - i, chain(codes[i:], map(invert, codes[:i]))) for group, codes, i in splits)
     return _tally(groups, roster, weeks_total)
 
 
@@ -184,6 +195,10 @@ _STATUSES = {"present": True, "absent": False}
 #: Distinct raw (semester, week, status) cells that :func:`_valid_rows` decodes and keeps;
 #: a log has a few dozen, and a file of distinct junk cells must not grow the memo with it.
 _CELL_TRIPLES = 1024
+#: Rows packed between sweeps. A sweep compacts each register that holds more than twice its codes after
+#: its last compaction and more than 64, about the bytes of its own array and key. So a register holds at
+#: most twice its keys' codes or 64, whichever is more, plus the codes of this many rows, 4 bytes each.
+_SWEEP = 1 << 16
 
 
 def _week_limit(weeks_total: int) -> int:
@@ -204,18 +219,21 @@ def _week_beyond(module_code: str, week: int, weeks_total: int) -> WeekOutOfRang
     return WeekOutOfRange(f"{module_code} week {week} beyond weeks_total {weeks_total}")
 
 
-def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf):
+def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf, ids: list[str] | None = None):
     """Each valid row of the events table ``source``, any source that
-    :func:`tables.read` takes, as ``((module_code, semester, week),
-    student_id, present)``, in file order.
+    :func:`tables.read` takes, as ``((module_code, semester, week), n,
+    present)``, in file order, where ``n`` numbers the row's student id: each
+    distinct id is appended once to ``ids``, in first-seen order.
 
     The header must be :data:`EVENTS_HEADER`. Every other row is counted in
     ``report`` under its first defect in this order: wrong field count, empty
     student_id, empty module_code, bad semester, bad week, unknown status. A
     valid row for a week beyond ``weeks_total`` raises WeekOutOfRange. Cells are
-    judged trimmed. Each distinct id is one string object, shared by its rows.
+    judged trimmed. Each distinct module code is one string object, shared by its rows.
     """
-    ids: dict[str, str] = {}  # each id kept so far, to itself
+    ids = [] if ids is None else ids
+    number: dict[str, int] = {}  # each student id -> its index in ids
+    modules: dict[str, str] = {}  # each module code kept so far, to itself
     decoded: dict[tuple[str, str, str], tuple] = {}  # raw cell triple -> _decode of it
     with tables.read(source) as table:
         table.expect(EVENTS_HEADER)
@@ -245,8 +263,11 @@ def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf):
             if week > weeks_total:
                 raise _week_beyond(module_code, week, weeks_total)
             report.rows_kept += 1
-            module_code = ids.setdefault(module_code, module_code)
-            yield (module_code, semester, week), ids.setdefault(student_id, student_id), present
+            n = number.get(student_id)
+            if n is None:
+                n = number[student_id] = len(ids)
+                ids.append(student_id)
+            yield (modules.setdefault(module_code, module_code), semester, week), n, present
 
 
 def _decode(semester_s: str, week_s: str, status_s: str) -> tuple[str, int, int, bool]:
@@ -267,27 +288,47 @@ def _decode(semester_s: str, week_s: str, status_s: str) -> tuple[str, int, int,
     return "", semester, week, present
 
 
-def _dedupe(rows) -> tuple[dict, CleaningReport]:
-    """Keep one status per key of ``(group, student_id, present)`` rows, as ``group ->
-    {student_id: present}`` in first-seen order; present wins. True and False are singletons."""
-    winners: dict = {}
+def _pack(rows) -> tuple[dict[tuple[str, int, int], array], CleaningReport]:
+    """The registers of an :data:`EventMap` of ``(group, n, present)`` rows, and their cleaning report.
+    Rows are packed :data:`_SWEEP` at a time; each batch is followed by a sweep, and the last sweep
+    compacts every register that grew. Compacting keeps each student once, sorted, and ``n``
+    (present) wins over ``~n`` (absent)."""
+    registers: dict = {}
+    bounds = array("i")  # each register's length after its last compaction, in register order
     conflicts: set = set()
-    read = 0
-    for read, (group, student_id, present) in enumerate(rows, 1):
-        students = winners.setdefault(group, {})
-        if students.setdefault(student_id, present) is not present:
-            conflicts.add((group, student_id))
-            if present:
-                students[student_id] = present
-    kept = sum(map(len, winners.values()))
-    return winners, CleaningReport(read, kept, read - kept, len(conflicts))
+    rows, read, more = enumerate(rows, 1), 0, True
+    while more:
+        start = read
+        for read, (group, n, present) in islice(rows, _SWEEP):
+            try:
+                registers[group].append(n if present else ~n)
+            except KeyError:
+                registers[group] = array("i", (n if present else ~n,))
+                bounds.append(0)
+        more = read - start == _SWEEP
+        for i, (group, codes) in enumerate(registers.items()):
+            if len(codes) > (max(2 * bounds[i], 64) if more else bounds[i]):
+                kept = set(codes)
+                unique = sorted(kept)
+                both = kept.intersection(map(invert, unique[: bisect_left(unique, 0)]))  # n with ~n kept
+                if both:
+                    conflicts.update(zip(repeat(group), both))
+                    unique = sorted(kept.difference(map(invert, both)))
+                codes[:] = array("i", unique)
+                bounds[i] = len(codes)
+    kept = sum(bounds)
+    return registers, CleaningReport(read, kept, read - kept, len(conflicts))
 
 
-def _sorted(winners: dict):
-    """Each ``(group, student_id, value)`` of a map from :func:`_dedupe`, by group, then student."""
-    for group, students in sorted(winners.items()):
-        for student_id in sorted(students):
-            yield group, student_id, students[student_id]
+def _in_key_order(ids: list[str], registers: dict):
+    """Each ``(group, student_ids, presents)`` of packed ``registers``, by group, its students by id."""
+    for group in sorted(registers):
+        codes = registers[group]
+        absent = bisect_left(codes, 0)
+        status = dict(zip(map(ids.__getitem__, map(invert, codes[:absent])), repeat(False)))
+        status.update(zip(map(ids.__getitem__, codes[absent:]), repeat(True)))
+        student_ids = sorted(status)
+        yield group, student_ids, map(status.__getitem__, student_ids)
 
 
 def _tally(groups, roster: list[RosterEntry] | None, weeks_total: int):
@@ -330,21 +371,26 @@ def _tally(groups, roster: list[RosterEntry] | None, weeks_total: int):
 
 
 def write_events_csv(events: list[AttendanceEvent], fh) -> None:
-    _write_events((((e.module_code, e.semester, e.week_index), e.student_id, e.present) for e in events), fh)
+    """Write events as cleaned events, in list order."""
+    runs = ((group, list(run)) for group, run in groupby(events, attrgetter("module_code", "semester", "week_index")))
+    _write_events(((group, [e.student_id for e in run], [e.present for e in run]) for group, run in runs), fh)
 
 
 def write_event_map_csv(winners: EventMap, fh) -> None:
     """Write an event map as cleaned events, sorted by key as :func:`clean_events` sorts."""
-    _write_events(_sorted(winners), fh)
+    _write_events(_in_key_order(*winners), fh)
 
 
-def _write_events(rows, fh) -> None:
-    writer = tables.writer(fh)
-    writer.writerow(EVENTS_HEADER)
-    writer.writerows(
-        (student_id, module_code, semester, week, "present" if present else "absent")
-        for (module_code, semester, week), student_id, present in rows
-    )
+def _write_events(registers, fh) -> None:
+    """Write cleaned events from ``(group, student_ids, presents)`` registers, in the order given, one
+    write each. Ids are quoted only in a register where one needs it, after they are sorted."""
+    fh.write(",".join(EVENTS_HEADER) + "\n")
+    for (module_code, semester, week), student_ids, presents in registers:
+        tail = f",{tables.quoted(module_code)},{semester},{week},"
+        tails = (tail + "absent\n", tail + "present\n")
+        if tables.NEEDS_QUOTES.search("".join(student_ids)):
+            student_ids = map(tables.quoted, student_ids)
+        fh.write("".join(map(str.__add__, student_ids, map(tails.__getitem__, presents))))
 
 
 def read_roster_csv(path) -> list[RosterEntry]:

@@ -17,6 +17,7 @@ import csv
 import io
 import math
 import os
+import re
 from contextlib import ExitStack, contextmanager
 from itertools import chain, islice
 
@@ -37,6 +38,19 @@ def chunks(rows):
 def writer(fh):
     """The ``csv`` writer of every table sacmine writes: ``\\n`` ends each row."""
     return csv.writer(fh, lineterminator="\n")
+
+
+#: A cell that holds one of these must be quoted to read back; Python 3.13's ``csv`` quotes all four.
+NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def quoted(cell: str) -> str:
+    """``cell`` as ``csv`` writes it with a ``\\r\\n`` line terminator, which quotes :data:`NEEDS_QUOTES`."""
+    if not NEEDS_QUOTES.search(cell):
+        return cell
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow((cell,))
+    return buf.getvalue()[:-2]
 
 
 def _by_column(rows, width: int, positions, numeric: dict, nominal: dict):

@@ -10,6 +10,9 @@ otherwise its first present row. It holds every row until the end, but it
 states the present-beats-absent rule directly, and the library's single
 winner map must reproduce its output and its report exactly. Only the
 event and report types come from the library.
+
+``expand`` unpacks the library's packed event map into nested dicts, so
+that tests can compare its contents with these references.
 """
 
 from __future__ import annotations
@@ -83,3 +86,9 @@ def clean_events(events: list[AttendanceEvent]) -> tuple[list[AttendanceEvent], 
     report.rows_kept = len(kept)
     report.check()
     return kept, report
+
+
+def expand(event_map) -> dict[tuple[str, int, int], dict[str, bool]]:
+    """A packed event map as ``{(module_code, semester, week): {student_id: present}}``, in its register order."""
+    ids, registers = event_map
+    return {group: {ids[max(code, ~code)]: code >= 0 for code in codes} for group, codes in registers.items()}

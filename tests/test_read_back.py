@@ -10,13 +10,17 @@ line feeds and non-ASCII text, run through ``cli.run``:
   ``--format csv`` cells;
 - ``parse_events`` and ``read_event_map`` give the same parse report.
 
-The text leaves out the carriage return: ``tables.writer`` writes a cell
-that holds a lone ``\\r`` unquoted before Python 3.13, so such a cell does
+Both cleaned-events writers quote a cell that holds ``\\r`` or ``\\n`` on
+every interpreter, as Python 3.13's ``csv`` does, so ``ingest`` output reads
+back whatever its ids and module codes hold. The text above still leaves out
+the carriage return: ``write_aggregate_csv`` writes a module code that holds a
+lone ``\\r`` unquoted before Python 3.13, so ``score`` output with one does
 not read back (the carriage-return FOUND in CHANGES.md).
 ``test_a_lone_carriage_return_reads_back`` keeps that case in view.
 """
 
 import csv
+import io
 import json
 import sys
 import tempfile
@@ -25,6 +29,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_ingest as ref
 from sacmine import ingest
 from sacmine.cli import run
 
@@ -114,3 +119,55 @@ def test_events_read_back_through_ingest_and_score(log):
 def test_a_lone_carriage_return_reads_back(tmp_path):
     rows = [["s\r1", "M\r1", "1", "1", "present"], ["s2", "M\r1", "1", "1", "absent"]]
     check_read_back(tmp_path, rows, [("M\r1", "1", 3)])
+
+
+# The bytes every interpreter's `ingest --out` writes for CARRIAGE_RETURNS: those of Python 3.13's
+# csv.writer(lineterminator="\n"), which quotes a cell that holds a lone \r.
+CARRIAGE_RETURNS = [["s\r1", "M\r1", "1", "1", "present"], ["s2", "M\r1", "1", "1", "absent"]]
+CLEANED = b'student_id,module_code,semester,week,status\n"s\r1","M\r1",1,1,present\ns2,"M\r1",1,1,absent\n'
+
+
+def test_ingest_quotes_a_lone_carriage_return(tmp_path):
+    raw = write_csv(tmp_path / "raw.csv", ingest.EVENTS_HEADER, CARRIAGE_RETURNS)
+    cleaned, again = tmp_path / "cleaned.csv", tmp_path / "again.csv"
+    assert run(["ingest", "--in", str(raw), "--out", str(cleaned)]) == 0
+    assert cleaned.read_bytes() == CLEANED
+    assert run(["ingest", "--in", str(cleaned), "--out", str(again)]) == 0
+    assert again.read_bytes() == CLEANED
+
+
+def csv_313(rows) -> str:
+    """``rows`` as Python 3.13's ``csv.writer(lineterminator="\\n")`` writes them: before 3.13, a
+    ``\\r\\n`` line terminator makes ``csv`` quote a lone ``\\r`` or ``\\n`` as 3.13 does."""
+    out = io.StringIO()
+    if sys.version_info >= (3, 13):
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
+    for row in rows:
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        out.seek(out.tell() - 2)
+        out.write("\n")
+        out.truncate()
+    return out.getvalue()
+
+
+HOSTILE = st.lists(st.sampled_from(["s", "1", ",", '"', " ", "\r", "\n", "\r\n", "\u00e9", "\u5b57"]), min_size=1,
+                   max_size=5).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(HOSTILE, HOSTILE, st.sampled_from(["1", "2"]), st.sampled_from(["1", "2"]),
+                          st.sampled_from(["present", "absent"])).map(list), max_size=15))
+def test_both_event_writers_write_hostile_cells_as_python_313_does(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows([ingest.EVENTS_HEADER, *rows])
+    events, _ = ref.valid_events(out.getvalue())
+    cleaned, _ = ref.clean_events(events)
+    expected = csv_313([ingest.EVENTS_HEADER, *((e.student_id, e.module_code, e.semester, e.week_index, e.status)
+                                                  for e in cleaned)])
+    for write, written in ((ingest.write_events_csv, cleaned), (ingest.write_event_map_csv,
+                                                                ingest.read_event_map(out.getvalue())[0])):
+        text = io.StringIO()
+        write(written, text)
+        assert text.getvalue() == expected
+        assert ingest.parse_events(text.getvalue())[0] == cleaned

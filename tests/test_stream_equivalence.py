@@ -98,7 +98,7 @@ def test_event_map_matches_event_lists_and_reference(text, roster):
     assert parsed == lib_parsed
     assert cleaning == lib_cleaning == ref_cleaning
     assert cleaned == ref_cleaned
-    flat = [((*group, s), present) for group, students in winners.items() for s, present in students.items()]
+    flat = [((*group, s), present) for group, students in ref.expand(winners).items() for s, present in students.items()]
     assert sorted(flat) == [(event.key, event.present) for event in ref_cleaned]
     assert ingest.aggregate_event_map(winners, roster, WEEKS) == ingest.aggregate(cleaned, roster, WEEKS)
     assert ingest.read_event_map(text, WEEKS)[0] == winners
