@@ -339,8 +339,7 @@ def _cmd_predict(args, out=None) -> None:
     tails = [(leaf.label, repr(leaf.distribution[leaf.label])) for leaf in table.leaves]
     n = 0
     if out is not None:
-        writer = tables.writer(out)
-        writer.writerow([a.name for a in table.attributes] + ["predicted", "confidence"])
+        tables.write(out, [[a.name for a in table.attributes] + ["predicted", "confidence"]])
     for chunk in dtree.instance_rows(args.infile, table.attributes):
         leaf_ids = table.route(chunk)
         for row, j in zip(chunk[: max(10 - n, 0)], leaf_ids):
@@ -348,7 +347,7 @@ def _cmd_predict(args, out=None) -> None:
             print(f"{row} -> {table.label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
         n += len(chunk)
         if out is not None:
-            writer.writerows(map(operator.add, chunk, map(tails.__getitem__, leaf_ids)))
+            tables.write(out, map(operator.add, chunk, map(tails.__getitem__, leaf_ids)))
     if n > 10:
         print(f"... {n - 10} more")
 

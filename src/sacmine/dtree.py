@@ -847,9 +847,8 @@ def default_schema_path(csv_path) -> Path:
 def write_dataset(data: Dataset, fh, schema_fh) -> None:
     """Write ``data``'s rows to the text file ``fh`` and its schema to ``schema_fh``."""
     schema_fh.write(json.dumps(schema_to_json(data.attributes, data.label), indent=2) + "\n")
-    writer = tables.writer(fh)
-    writer.writerow([a.name for a in data.attributes] + [data.label.name])
-    writer.writerows(inst.values + (inst.label,) for inst in data.instances)
+    tables.write(fh, [[a.name for a in data.attributes] + [data.label.name]])
+    tables.write(fh, (inst.values + (inst.label,) for inst in data.instances))
 
 
 def write_dataset_csv(data: Dataset, csv_path) -> None:

@@ -460,12 +460,9 @@ def read_module_inputs_csv(path) -> list[tuple]:
 
 def write_aggregate_csv(rows: list[tuple], fh) -> None:
     """Write scored rows: attend_avg to 1 decimal, sac to 3, blanks when flagged."""
-    writer = tables.writer(fh)
-    writer.writerow(AGGREGATE_HEADER)
-    writer.writerows(
+    tables.write(fh, chain((AGGREGATE_HEADER,), (
         (code, semester, weeks, taken, "" if avg is None else f"{avg:.1f}", "" if value is None else f"{value:.3f}", bin_)
-        for code, semester, weeks, taken, avg, value, bin_ in rows
-    )
+        for code, semester, weeks, taken, avg, value, bin_ in rows)))
 
 
 def write_aggregate_json(chunks, fh) -> None:

@@ -1,14 +1,15 @@
-"""The one CSV reading layer that every sacmine input table goes through.
+"""The one CSV layer that every table sacmine reads or writes goes through.
 
-Tables are UTF-8 (a leading byte-order mark is dropped) in the ``csv``
-default dialect, read strictly: fields may be quoted, but a quote left open
-is an error. The header is trimmed and blank rows skipped. One loop reads
-every table, :data:`CHUNK` raw rows at a time. Iterating a table yields each
-row's raw ``csv`` cells; :meth:`Table.rows` parses a row at a time, and
-:meth:`Table.chunks` checks a chunk a column at a time and reads again row
-by row only a chunk that fails, so that each fault keeps its message. Readers
-keep only their own format rule and raise plain domain errors; this layer
-adds the ``file:line`` of the row, counted from the chunk's raw rows.
+Tables are UTF-8 in the ``csv`` default dialect. A read drops a leading
+byte-order mark, fails on a quote left open, trims the header and skips
+blank rows; one loop reads every table, :data:`CHUNK` raw rows at a time.
+Iterating a table yields each row's raw cells; :meth:`Table.rows` parses a
+row at a time, and :meth:`Table.chunks` checks a chunk a column at a time
+and reads again row by row only a chunk that fails, so that each fault keeps
+its message. Readers keep only their own format rule and raise plain domain
+errors; this layer adds the ``file:line`` of the row, counted from the
+chunk's raw rows. :func:`write` ends each row with ``\\n`` and quotes a cell
+holding ``,``, ``"``, ``\\r`` or ``\\n`` as Python 3.13's ``csv`` does, on every interpreter.
 """
 
 from __future__ import annotations
@@ -35,22 +36,32 @@ def chunks(rows):
         yield chunk
 
 
-def writer(fh):
-    """The ``csv`` writer of every table sacmine writes: ``\\n`` ends each row."""
-    return csv.writer(fh, lineterminator="\n")
-
-
 #: A cell that holds one of these must be quoted to read back; Python 3.13's ``csv`` quotes all four.
 NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def quoted(cell: str) -> str:
-    """``cell`` as ``csv`` writes it with a ``\\r\\n`` line terminator, which quotes :data:`NEEDS_QUOTES`."""
-    if not NEEDS_QUOTES.search(cell):
-        return cell
+def _csv(rows) -> str:
+    """``rows`` as ``csv`` writes them when ``\\r\\n`` ends a row: it quotes :data:`NEEDS_QUOTES` on every Python."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow((cell,))
-    return buf.getvalue()[:-2]
+    try:
+        csv.writer(buf, lineterminator="\r\n").writerows(rows)
+    except csv.Error as exc:  # NUL in a cell, before Python 3.11
+        raise SchemaMismatch(f"cannot write a cell: {exc}") from None
+    return buf.getvalue()
+
+
+def quoted(cell: str) -> str:
+    """``cell`` as :func:`write` writes it."""
+    return _csv(((cell,),))[:-2] if NEEDS_QUOTES.search(cell) else cell
+
+
+def write(fh, rows) -> None:
+    """Write ``rows`` to the text file ``fh`` as Python 3.13's ``csv`` does with ``\\n`` ending a row. A chunk
+    with one ``\\r`` per row has none in a cell, so every ``\\r`` is dropped; any other is written row by row."""
+    for chunk in chunks(rows):
+        text = _csv(chunk)
+        fh.write(text.replace("\r", "") if text.count("\r") == len(chunk)
+                 else "".join(_csv((row,))[:-2] + "\n" for row in chunk))
 
 
 def _by_column(rows, width: int, positions, numeric: dict, nominal: dict):

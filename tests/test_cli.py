@@ -872,6 +872,20 @@ def the_one_error_line(capsys) -> str:
     return errors[0]
 
 
+def test_a_cell_csv_cannot_write_is_one_error_line_and_no_out(capsys, tmp_path):
+    # Before Python 3.11 csv cannot write NUL, so the header of --out fails; later, the input lacks the column.
+    ds = make_dataset(tmp_path)
+    model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+    assert run(["train", "--in", str(ds), "--out", str(model)]) == 0
+    model.write_text(model.read_text().replace('"attend_avg"', '"attend_avg\\u0000"'))
+    capsys.readouterr()
+    assert run(["predict", "--in", str(ds), "--model", str(model), "--out", str(out)]) == 1
+    error = the_one_error_line(capsys)
+    assert error.startswith("error: SchemaMismatch: cannot write a cell: " if sys.version_info < (3, 11)
+                            else f"error: MissingHeader: {ds}:")
+    assert not out.exists()
+
+
 COMMANDS = (
     "ingest", "score-events", "score-module-inputs", "reliability", "train", "rules",
     "evaluate-split", "evaluate-model", "predict", "gen",

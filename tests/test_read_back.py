@@ -1,22 +1,21 @@
 """Commands read their own and each other's output back the same.
 
 Small events logs, whose ids and module codes hold commas, quotes, spaces,
-line feeds and non-ASCII text, run through ``cli.run``:
+line breaks and non-ASCII text, run through ``cli.run``:
 
 - ``ingest`` of its own ``--out`` writes the same bytes;
 - ``score --out`` of the cleaned file equals ``score --out`` of the raw
   file, with and without a roster, with the same exit code;
 - ``score --format json`` values, rounded as the CSV rounds them, equal the
   ``--format csv`` cells;
-- ``parse_events`` and ``read_event_map`` give the same parse report.
+- ``parse_events`` and ``read_event_map`` give the same parse report;
+- ``predict --out`` classes equal ``dtree.predict`` and ``RuleSet.classify``
+  on every row of a dataset whose names, values and labels hold such text.
 
-Both cleaned-events writers quote a cell that holds ``\\r`` or ``\\n`` on
-every interpreter, as Python 3.13's ``csv`` does, so ``ingest`` output reads
-back whatever its ids and module codes hold. The text above still leaves out
-the carriage return: ``write_aggregate_csv`` writes a module code that holds a
-lone ``\\r`` unquoted before Python 3.13, so ``score`` output with one does
-not read back (the carriage-return FOUND in CHANGES.md).
-``test_a_lone_carriage_return_reads_back`` keeps that case in view.
+Every table sacmine writes goes through ``tables.write``, which quotes a
+cell that holds a comma, a quote, ``\\r`` or ``\\n`` on every interpreter, as
+Python 3.13's ``csv`` does, so ids, module codes, nominal values, labels and
+column names that hold a carriage return read back too.
 """
 
 import csv
@@ -26,16 +25,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_ingest as ref
-from sacmine import ingest
+from sacmine import dtree, ingest, tables
 from sacmine.cli import run
 
-TEXT = st.text(
-    st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from([",", '"', " ", "\n"]), max_size=6
-)
+TEXT = st.lists(
+    st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from([",", '"', " ", "\n", "\r", "\r\n"]), max_size=6
+).map("".join)
 IDS = st.sampled_from(["s1", " s2 ", "s,3", ""]) | TEXT
 MODULES = st.sampled_from(["M1", "M 2", '"M3"', "M\n4"]) | TEXT
 SEMESTERS = st.sampled_from(["1", "2", " 2 ", "3", "x"])
@@ -111,11 +109,6 @@ def test_events_read_back_through_ingest_and_score(log):
         check_read_back(Path(work), rows, roster)
 
 
-@pytest.mark.xfail(
-    sys.version_info < (3, 13),
-    reason="carriage-return FOUND in CHANGES.md: before Python 3.13 a cell with a lone \\r is written unquoted",
-    strict=True,
-)
 def test_a_lone_carriage_return_reads_back(tmp_path):
     rows = [["s\r1", "M\r1", "1", "1", "present"], ["s2", "M\r1", "1", "1", "absent"]]
     check_read_back(tmp_path, rows, [("M\r1", "1", 3)])
@@ -171,3 +164,86 @@ def test_both_event_writers_write_hostile_cells_as_python_313_does(rows):
         write(written, text)
         assert text.getvalue() == expected
         assert ingest.parse_events(text.getvalue())[0] == cleaned
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(HOSTILE, HOSTILE, st.floats(allow_nan=False), st.integers(), st.none()).map(list),
+                max_size=3 * tables.CHUNK))
+def test_tables_write_writes_every_chunk_as_python_313_does(rows):
+    text = io.StringIO()
+    tables.write(text, rows)
+    assert text.getvalue() == csv_313(rows)
+
+
+# Cells that the readers' trim leaves as they are: names, nominal values and module codes are trimmed when read.
+EDGE = st.sampled_from(["v", "1", ",", '"', "\u00e9"])
+TRIMMED = st.builds("{}{}{}".format, EDGE, HOSTILE | st.just(""), EDGE)
+
+
+@st.composite
+def module_inputs(draw):
+    """A module-inputs row whose module code is hostile and whose average has one decimal, as scored CSVs write it."""
+    weeks = draw(st.integers(1, 11))
+    taken = draw(st.integers(0, weeks))
+    avg = f"{draw(st.integers(0, 1000)) / 10:.1f}" if taken else ""
+    return [draw(TRIMMED), draw(st.sampled_from(["1", "2"])), str(weeks), str(taken), avg]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(module_inputs(), max_size=10))
+def test_the_aggregate_writer_writes_hostile_module_codes_as_python_313_does(rows):
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        inputs = write_csv(work / "inputs.csv", ingest.MODULE_INPUT_HEADER, rows)
+        code, text = scored(["score", "--in", str(inputs), "--format", "json"], work / "scored.json")
+        assert code == 0
+        expected = csv_313([ingest.AGGREGATE_HEADER, *map(csv_cells, json.loads(text))]).encode()
+        assert scored(["score", "--in", str(inputs)], work / "scored.csv") == (0, expected)
+        # The first five columns of the output are module inputs that score the same.
+        with (work / "scored.csv").open(encoding="utf-8", newline="") as fh:
+            again = write_csv(work / "again.csv", ingest.MODULE_INPUT_HEADER, [row[:5] for row in csv.reader(fh)][1:])
+        assert scored(["score", "--in", str(again)], work / "again-scored.csv") == (0, expected)
+
+
+@st.composite
+def datasets(draw, min_size=0):
+    """A dataset of two nominal and one numeric attribute whose names, domain values and labels are hostile."""
+    names = draw(st.lists(TRIMMED, min_size=4, max_size=4, unique=True))
+    domains = [draw(st.lists(TRIMMED, min_size=1, max_size=3, unique=True)) for _ in range(3)]
+    attributes = (*(dtree.AttributeSpec(name, dtree.NOMINAL, domain) for name, domain in zip(names, domains[:2])),
+                  dtree.AttributeSpec(names[2], dtree.NUMERIC))
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, domains[:2]), st.floats(-1e6, 1e6),
+                                   st.sampled_from(domains[2])), min_size=min_size, max_size=16))
+    label = dtree.AttributeSpec(names[3], dtree.NOMINAL, domains[2])
+    return dtree.Dataset(attributes, label, [dtree.Instance(row[:3], row[3]) for row in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets())
+def test_the_dataset_writer_writes_hostile_cells_as_python_313_does(data):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "ds.csv"
+        dtree.write_dataset_csv(data, path)
+        rows = [[spec.name for spec in (*data.attributes, data.label)]]
+        rows += [inst.values + (inst.label,) for inst in data.instances]
+        assert path.read_bytes() == csv_313(rows).encode()
+        assert dtree.read_dataset_csv(path) == data
+
+
+@settings(max_examples=25, deadline=None)
+@given(datasets(min_size=4))
+def test_predict_out_classes_equal_the_tree_and_its_rules(data):
+    with tempfile.TemporaryDirectory() as work:
+        ds, model, out = (Path(work) / name for name in ("ds.csv", "model.json", "predicted.csv"))
+        dtree.write_dataset_csv(data, ds)
+        assert run(["train", "--in", str(ds), "--out", str(model), "--min-leaf", "1"]) == 0
+        assert run(["predict", "--in", str(ds), "--model", str(model), "--out", str(out)]) == 0
+        tree = dtree.load_model(model)[0]
+        rules = dtree.extract_rules(tree)
+        with out.open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == [spec.name for spec in data.attributes] + ["predicted", "confidence"]
+        assert len(rows) == len(data.instances)
+        for row, inst in zip(rows, data.instances):
+            assert row[:3] == list(map(str, inst.values))
+            assert row[3] == dtree.predict(tree, inst)[0] == rules.classify(inst)
