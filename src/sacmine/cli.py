@@ -228,11 +228,14 @@ def _score_rows_from_input(args):
 
 def _summarised(chunks):
     """Each of the ``chunks`` of scored rows, once the summary lines of its rows are printed."""
+    from . import ingest
+
     for chunk in chunks:
+        codes = ingest.shown([row[0] for row in chunk])
         sys.stdout.write("".join(
             f"{module_code} sem {semester}: no attendance taken\n" if value is None
             else f"{module_code} sem {semester}: sac {value:.3f} strength {strength} (taken {taken})\n"
-            for module_code, semester, _, taken, _, value, strength in chunk
+            for module_code, (_, semester, _, taken, _, value, strength) in zip(codes, chunk)
         ))
         yield chunk
 

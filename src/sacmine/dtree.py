@@ -870,10 +870,10 @@ def _read_schema(schema_path: Path) -> tuple[tuple[AttributeSpec, ...], Attribut
 def _schema_rows(csv_path, attributes, label=None):
     """Chunks of the rows of the CSV at ``csv_path``, each a tuple of its cells
     in ``attributes`` order, then ``label``'s if given, numeric cells as finite
-    floats, as :meth:`tables.Table.chunks` cuts them. Given a label, the CSV must
-    have exactly those columns; without one, other columns are ignored. A
-    nominal cell or the label outside its domain raises what :class:`Dataset`
-    raises for it, with the ``file:line`` of its row."""
+    floats, checked by :meth:`tables.Table.rows` and cut by :func:`tables.chunks`.
+    Given a label, the CSV must have exactly those columns; without one, other
+    columns are ignored. A nominal cell or the label outside its domain raises
+    what :class:`Dataset` raises for it, with the ``file:line`` of its row."""
     specs = [*attributes, label] if label is not None else list(attributes)
     numeric = {i: float for i, spec in enumerate(specs) if spec.kind == NUMERIC}
     nominal = {i: set(spec.domain) for i, spec in enumerate(specs) if spec.kind == NOMINAL}
@@ -886,7 +886,7 @@ def _schema_rows(csv_path, attributes, label=None):
     with tables.read(Path(csv_path)) as table:
         if label is not None and len(table.header) != len(specs):
             raise MissingHeader(f"expected the columns {[spec.name for spec in specs]}")
-        yield from table.chunks([spec.name for spec in specs], numeric, nominal, check)
+        yield from tables.chunks(table.rows([spec.name for spec in specs], numeric, nominal, check))
 
 
 def read_dataset_csv(csv_path) -> Dataset:

@@ -23,7 +23,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat, starmap
 from operator import attrgetter, invert
 from pathlib import Path
 
@@ -357,7 +357,7 @@ def _tally(groups, roster: list[RosterEntry] | None, weeks_total: int):
         for week, attended in sorted(present[key].items()):
             if attended > registered:
                 rejections.append(
-                    f"{module_code} semester {semester} week {week}: "
+                    f"{shown([module_code])[0]} semester {semester} week {week}: "
                     f"{attended} present exceeds {registered} registered"
                 )
                 break
@@ -365,6 +365,11 @@ def _tally(groups, roster: list[RosterEntry] | None, weeks_total: int):
         else:
             records.append(ModuleTermRecord(module_code, semester, weeks_total, tuple(observations)))
     return records, rejections
+
+
+def shown(codes: list[str]) -> list[str]:
+    """``codes`` as a line shows them: a code that :meth:`str.isprintable` rejects, as its ``repr()``."""
+    return codes if "".join(codes).isprintable() else [c if c.isprintable() else repr(c) for c in codes]
 
 
 # --- CSV surfaces -----------------------------------------------------------
@@ -432,12 +437,13 @@ def module_input_rows(source):
     this order: a module code and a semester of ``1`` or ``2``, ``weeks_total
     >= 1``, an ``attendance_taken`` of 0 or in [1, weeks_total], and an
     ``attend_avg`` in [0, 100], which may be blank only when no week was taken.
-    A chunk that fails its column checks is checked again row by row.
+    Each row is checked once, as :meth:`tables.Table.rows` hands it on, so a
+    fault of these rules and a cell that does not parse come out in row order.
     """
     with tables.read(source if isinstance(source, tables.Table) else Path(source)) as table:
         table.expect(MODULE_INPUT_HEADER)
-        for rows in table.chunks(MODULE_INPUT_HEADER, {2: int, 3: int}, {}, _module_input):
-            yield [_scored(*_module_input(row)) for row in table.each(rows)]
+        rows = table.rows(MODULE_INPUT_HEADER, {2: int, 3: int})
+        yield from tables.chunks(starmap(_scored, map(_module_input, rows)))
 
 
 def _module_input(cells) -> tuple:

@@ -3,10 +3,10 @@
 Tables are UTF-8 in the ``csv`` default dialect. A read drops a leading
 byte-order mark, fails on a quote left open, trims the header and skips
 blank rows; one loop reads every table, :data:`CHUNK` raw rows at a time.
-Iterating a table yields each row's raw cells; :meth:`Table.rows` parses a
-row at a time, and :meth:`Table.chunks` checks a chunk a column at a time
-and reads again row by row only a chunk that fails, so that each fault keeps
-its message. Readers keep only their own format rule and raise plain domain
+Iterating a table yields each row's raw cells; :meth:`Table.rows` checks
+each chunk a column at a time and parses a chunk that fails a row at a time,
+as its rows are handed on, so that each fault keeps its message and its place
+in row order. Readers keep only their own format rule and raise plain domain
 errors; this layer adds the ``file:line`` of the row, counted from the
 chunk's raw rows. :func:`write` ends each row with ``\\n`` and quotes a cell
 holding ``,``, ``"``, ``\\r`` or ``\\n`` as Python 3.13's ``csv`` does, on every interpreter.
@@ -21,6 +21,7 @@ import os
 import re
 from contextlib import ExitStack, contextmanager
 from itertools import chain, islice
+from operator import length_hint
 
 from .errors import Error, MalformedInput, MissingHeader, SchemaMismatch
 
@@ -65,7 +66,7 @@ def write(fh, rows) -> None:
 
 
 def _by_column(rows, width: int, positions, numeric: dict, nominal: dict):
-    """The rows of :meth:`Table.chunks` of a chunk of raw ``rows``, checked a
+    """The rows of :meth:`Table.rows` of a chunk of raw ``rows``, checked a
     column at a time, or None if a check fails."""
     if set(map(len, rows)) != {width}:
         return None
@@ -88,18 +89,17 @@ class Table:
 
     def __init__(self, reader) -> None:
         self.header = tuple(cell.strip() for cell in next(reader, []))
-        self._reader, self._start, self._raw = reader, reader.line_num, []
-        self._index = None  # the place, in the chunk being read, of the row handed out
+        self._reader, self._start, self._raw, self._left = reader, reader.line_num, [], None
 
     @property
     def line(self) -> int:
-        """The line on which the row being handed out ends, or else the last
-        row read, as ``csv`` counts lines. Counted only when asked."""
+        """The line on which the row being handed out ends, or else the last row read, as ``csv`` counts
+        lines. Counted only when asked: the rows that the chunk's iterator has left place the row."""
         ends, at = [], self._start
         for record in self._raw:  # a line break in a quoted cell adds a line
             at += 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in record)
             ends += [at] if record else []
-        return max(at, 1) if self._index is None else ends[self._index]
+        return max(at, 1) if self._left is None else ends[len(ends) - 1 - length_hint(self._left)]
 
     def expect(self, header: tuple[str, ...]) -> None:
         """Raise MissingHeader unless the header is exactly ``header``."""
@@ -111,7 +111,7 @@ class Table:
         ``csv`` or UTF-8 fault is raised once the rows before it are handed on."""
         reader, read, fault = self._reader, CHUNK, None
         while read == CHUNK and fault is None:
-            self._start, self._index, raw = reader.line_num, None, []
+            self._start, self._left, raw = reader.line_num, None, []
             try:
                 raw.extend(islice(reader, CHUNK))
             except (csv.Error, UnicodeDecodeError) as exc:
@@ -119,22 +119,24 @@ class Table:
             self._raw, read, rows = raw, len(raw), list(filter(None, raw))
             if rows:
                 yield rows
-        self._index = None
+        self._left = None
         if fault is not None:
             raise fault
 
+    def _hand(self, rows):
+        """An iterator over ``rows``, the chunk being read, kept so that :attr:`line` finds the row it handed out."""
+        self._left = iter(rows)
+        return self._left
+
     def __iter__(self):
         """The raw, untrimmed cells of every non-blank row, whatever its width."""
-        return chain.from_iterable(map(self.each, self._read()))
+        return chain.from_iterable(map(self._hand, self._read()))
 
-    def each(self, rows):
-        """Each of ``rows``, the chunk being read, with :attr:`line` on it."""
-        for self._index, row in enumerate(rows):
-            yield row
-
-    def _parser(self, names, numeric: dict, check=None):
-        """The function that turns a raw row into the tuple of :meth:`rows`, and
-        the positions of the columns ``names``, found by header name once each."""
+    def rows(self, names, numeric: dict, nominal=(), check=None):
+        """Each row's trimmed cells of the columns ``names`` as a tuple; a row unlike the header in width raises.
+        ``numeric`` maps a cell's index to its :func:`number` type; ``nominal``, to the set its cell must be in.
+        A chunk that fails its column checks is parsed as each row is handed on, calling ``check`` on the cells
+        (it raises for a nominal cell outside its set), so the table's faults and the caller's come in row order."""
         missing = [name for name in names if self.header.count(name) != 1]
         if missing:
             raise MissingHeader(f"columns missing or repeated: {missing}")
@@ -150,22 +152,11 @@ class Table:
                 check(cells)
             return tuple(cells)
 
-        return parse, positions
+        def checked(rows):
+            parsed = _by_column(rows, width, positions, numeric, nominal)
+            return map(parse, self._hand(rows)) if parsed is None else self._hand(parsed)
 
-    def rows(self, names, numeric: dict):
-        """Each row's trimmed cells of the columns ``names`` as a tuple, parsed as it is handed on.
-        A row unlike the header in width raises; ``numeric`` maps a cell's index to its :func:`number` type."""
-        return map(self._parser(names, numeric)[0], self)
-
-    def chunks(self, names, numeric: dict, nominal: dict, check):
-        """The rows of :meth:`rows`, checked a chunk and a column at a time, in lists of at most
-        :data:`CHUNK`; the cell at each index in ``nominal`` must also be in the set it maps to. A chunk
-        that fails a check is read again as :meth:`rows` reads, calling ``check`` on each row's cells:
-        it raises for a nominal cell outside its set, and for its caller's own rules, in row order."""
-        parse, positions = self._parser(names, numeric, check)
-        for rows in self._read():
-            yield _by_column(rows, len(self.header), positions, numeric, nominal) or list(
-                map(parse, self.each(rows)))
+        return chain.from_iterable(map(checked, self._read()))
 
 
 def number(name: str, text: str, kind):

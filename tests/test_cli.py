@@ -521,6 +521,25 @@ class TestMalformedInputs:
         )
         assert out.read_text().splitlines()[1:] == ["M2,1,11,1,20.0,0.018,1"]
 
+    @pytest.mark.parametrize("code", ["M\n4", "M\r1", "M\r\n2", "M\t3", "M\u20285", "M\x1c6"])
+    def test_every_summary_and_rejected_record_line_is_one_line(self, capsys, tmp_path, code):
+        # A module code that str.isprintable rejects is shown as its repr(); the others as they are.
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text(f'module_code,semester,weeks_total,attendance_taken,attend_avg\n"{code}",1,11,3,50.0\n'
+                          "M5,2,11,0,\n", encoding="utf-8", newline="")
+        assert run(["score", "--in", str(inputs)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == f"{code!r} sem 1: sac 0.136 strength 2 (taken 3)\nM5 sem 2: no attendance taken\n"
+        assert len(printed.splitlines()) == 2
+        events, roster = tmp_path / "events.csv", tmp_path / "roster.csv"
+        events.write_text(f'student_id,module_code,semester,week,status\ns1,"{code}",1,1,present\n'
+                          f's2,"{code}",1,1,present\ns1,M1,1,1,present\n', encoding="utf-8", newline="")
+        roster.write_text(f'module_code,semester,registered\n"{code}",1,1\nM1,1,2\n', encoding="utf-8", newline="")
+        assert run(["score", "--in", str(events), "--roster", str(roster)]) == 0
+        printed, errors = capsys.readouterr()
+        assert printed == "M1 sem 1: sac 0.045 strength 1 (taken 1)\n"
+        assert errors.splitlines()[2:] == [f"rejected record: {code!r} semester 1 week 1: 2 present exceeds 1 registered"]
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_artifacts(self, tmp_path):

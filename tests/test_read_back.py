@@ -10,7 +10,9 @@ line breaks and non-ASCII text, run through ``cli.run``:
   ``--format csv`` cells;
 - ``parse_events`` and ``read_event_map`` give the same parse report;
 - ``predict --out`` classes equal ``dtree.predict`` and ``RuleSet.classify``
-  on every row of a dataset whose names, values and labels hold such text.
+  on every row of a dataset whose names, values and labels hold such text;
+- ``evaluate --model --format json`` on such a dataset equals the library's
+  ``dtree.evaluate`` of the tree on ``read_dataset_csv`` of it.
 
 Every table sacmine writes goes through ``tables.write``, which quotes a
 cell that holds a comma, a quote, ``\\r`` or ``\\n`` on every interpreter, as
@@ -247,3 +249,20 @@ def test_predict_out_classes_equal_the_tree_and_its_rules(data):
         for row, inst in zip(rows, data.instances):
             assert row[:3] == list(map(str, inst.values))
             assert row[3] == dtree.predict(tree, inst)[0] == rules.classify(inst)
+
+
+@settings(max_examples=25, deadline=None)
+@given(datasets(min_size=4))
+def test_evaluate_model_equals_the_library_evaluate(data):
+    with tempfile.TemporaryDirectory() as work:
+        ds, model, out = (Path(work) / name for name in ("ds.csv", "model.json", "evaluation.json"))
+        dtree.write_dataset_csv(data, ds)
+        assert run(["train", "--in", str(ds), "--out", str(model), "--min-leaf", "1"]) == 0
+        assert run(["evaluate", "--in", str(ds), "--model", str(model), "--format", "json", "--out", str(out)]) == 0
+        report = dtree.evaluate(dtree.load_model(model)[0], dtree.read_dataset_csv(ds))
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["accuracy"] == report.accuracy
+        assert doc["rmse"].hex() == report.rmse.hex()
+        assert doc["confusion"] == [list(row) for row in report.confusion]
+        assert doc["classes"] == list(report.classes) == list(data.label.domain)
+        assert doc["sizes"] == {"train": None, "test": len(data.instances)}

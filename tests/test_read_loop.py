@@ -34,7 +34,7 @@ def read_events(source):
 
 def read_two_columns(source):
     with tables.read(source) as table:
-        for _ in table.chunks(["a", "b"], {0: float}, {}, None):
+        for _ in table.rows(["a", "b"], {0: float}, {}, None):
             pass
 
 

@@ -88,4 +88,4 @@ def test_a_bad_cell_before_a_csv_fault_in_its_chunk_is_named_first(fault):
     rows[829] = b'"1000000,2\n' if fault == "open-quote" else b"1000000,\xff\n"
     with pytest.raises(SchemaMismatch, match=re.escape("<input>:801: b: expected a finite number, got 'x'")):
         with tables.read(b"a,b\n" + b"".join(rows)) as table:
-            list(table.chunks(["a", "b"], {0: float, 1: float}, {}, None))
+            list(table.rows(["a", "b"], {0: float, 1: float}, {}, None))
