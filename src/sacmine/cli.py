@@ -228,10 +228,10 @@ def _score_rows_from_input(args):
 
 def _summarised(chunks):
     """Each of the ``chunks`` of scored rows, once the summary lines of its rows are printed."""
-    from . import ingest
+    from . import tables
 
     for chunk in chunks:
-        codes = ingest.shown([row[0] for row in chunk])
+        codes = tables.shown([row[0] for row in chunk])
         sys.stdout.write("".join(
             f"{module_code} sem {semester}: no attendance taken\n" if value is None
             else f"{module_code} sem {semester}: sac {value:.3f} strength {strength} (taken {taken})\n"
@@ -347,7 +347,8 @@ def _cmd_predict(args, out=None) -> None:
         leaf_ids = table.route(chunk)
         for row, j in zip(chunk[: max(10 - n, 0)], leaf_ids):
             leaf = table.leaves[j]
-            print(f"{row} -> {table.label.name} = {leaf.label} (p={leaf.distribution[leaf.label]:.3f})")
+            name, label = tables.shown([table.label.name, leaf.label])
+            print(f"{row} -> {name} = {label} (p={leaf.distribution[leaf.label]:.3f})")
         n += len(chunk)
         if out is not None:
             tables.write(out, map(operator.add, chunk, map(tails.__getitem__, leaf_ids)))
@@ -434,11 +435,12 @@ def run(argv) -> int:
             _COMMANDS[args.command](args, *outs)
         return 0
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"error: {exc}", 2
     except (Error, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"error: {type(exc).__name__}: {exc}", 1
+    # one line whatever a name in it holds: each character str.isprintable rejects, as its escape
+    print("".join(c if c.isprintable() else repr(c)[1:-1] for c in message), file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -27,16 +27,14 @@ class WeekObservation:
     """One module-week of the attendance register.
 
     ``attended`` is the number of registered students present that week
-    (X) and ``registered`` the module's enrolment for that week (Y).
-    When ``taken`` is false the instructor never recorded attendance, so
-    ``attended`` carries no information and is ignored by every
-    computation.
+    (X) and ``registered`` the module's enrolment for that week (Y). A
+    week on which the instructor did not record attendance has no
+    observation.
     """
 
     week_index: int
     attended: int
     registered: int
-    taken: bool = True
 
     def __post_init__(self) -> None:
         if self.week_index < 1:
@@ -45,7 +43,7 @@ class WeekObservation:
             raise ValueError(f"registered must be >= 1, got {self.registered}")
         if self.attended < 0:
             raise ValueError(f"attended must be >= 0, got {self.attended}")
-        if self.taken and self.attended > self.registered:
+        if self.attended > self.registered:
             raise ValueError(
                 f"week {self.week_index}: attended {self.attended} exceeds "
                 f"registered {self.registered}"
@@ -56,8 +54,8 @@ class WeekObservation:
 class ModuleTermRecord:
     """Per module-semester aggregate of weekly attendance observations.
 
-    ``weeks_total`` is the semester length C2; the number of observations
-    with ``taken`` set is the recording count C1. The attendance average
+    ``weeks_total`` is the semester length C2; the number of observations,
+    one per recorded week, is the recording count C1. The attendance average
     and SAC are derived and only defined when C1 >= 1.
     """
 
@@ -84,7 +82,7 @@ class ModuleTermRecord:
     @property
     def taken_count(self) -> int:
         """Number of weeks on which attendance was recorded (C1)."""
-        return sum(1 for o in self.observations if o.taken)
+        return len(self.observations)
 
     @property
     def attend_avg(self) -> float:
@@ -123,22 +121,21 @@ class SacStrength:
 
 
 def attendance_average(record: ModuleTermRecord) -> float:
-    """Mean percentage of registered students present over taken weeks.
+    """Mean percentage of registered students present over the observed weeks.
 
-    Weeks where attendance was not taken contribute nothing; the per-week
-    ratio uses that week's own enrolment, so a varying register is fine.
+    The per-week ratio uses that week's own enrolment, so a varying
+    register is fine.
 
     Raises:
-        NoAttendanceTaken: if the record has no taken week.
+        NoAttendanceTaken: if the record has no observation.
     """
-    taken = [o for o in record.observations if o.taken]
-    if not taken:
+    observations = record.observations
+    if not observations:
         raise NoAttendanceTaken(
             f"{record.module_code} semester {record.semester}: "
             "attendance was never recorded"
         )
-    ratio_sum = sum(o.attended / o.registered for o in taken)
-    return 100.0 * ratio_sum / len(taken)
+    return 100.0 * sum(o.attended / o.registered for o in observations) / len(observations)
 
 
 def _check_counts(taken_count: int, weeks_total: int) -> None:

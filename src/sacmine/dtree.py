@@ -7,7 +7,7 @@ or gain ratio. Ties break by schema declaration order, then by smaller
 threshold, which makes the learned tree independent of instance order.
 
 No pruning and no missing-value handling: stopping is purity, a minimum
-leaf size, an optional depth cap, or a non-positive best score.
+leaf size, or a non-positive best score.
 """
 
 from __future__ import annotations
@@ -498,16 +498,11 @@ def _majority(counts, domain) -> str:
     return domain[max(range(len(counts)), key=counts.__getitem__)]  # max keeps the first of ties
 
 
-def build_tree(
-    data: Dataset,
-    criterion: str = GAIN_RATIO,
-    min_leaf: int = 2,
-    max_depth: int | None = None,
-) -> TreeNode:
+def build_tree(data: Dataset, criterion: str = GAIN_RATIO, min_leaf: int = 2) -> TreeNode:
     """Learn a tree by recursive top-down induction.
 
     A node becomes a leaf when it is pure, holds fewer than 2*min_leaf
-    instances, hits ``max_depth``, or no candidate split scores above 0.
+    instances, or no candidate split scores above 0.
     Candidate splits must leave at least ``min_leaf`` instances in every
     branch (all domain values, for nominal splits), so every leaf of the
     result covers at least ``min_leaf`` training instances unless the
@@ -524,14 +519,10 @@ def build_tree(
     domain = data.label.domain
     columns = _Columns(data)
 
-    def grow(node: _Node, depth) -> TreeNode:
+    def grow(node: _Node) -> TreeNode:
         counts, n = node.counts, len(node.rows)
         best_score, best = 0.0, None
-        if not (
-            n < 2 * min_leaf
-            or sum(1 for c in counts if c) == 1
-            or (max_depth is not None and depth >= max_depth)
-        ):
+        if not (n < 2 * min_leaf or sum(1 for c in counts if c) == 1):
             for pos, spec in enumerate(data.attributes):
                 score, t, cut = columns.best_split(node, pos, spec, criterion, min_leaf)
                 if score > best_score:
@@ -541,14 +532,14 @@ def build_tree(
         pos, spec, t, cut = best
         if spec.kind == NUMERIC:
             ids = node.order[pos]
-            le, gt = (grow(node.child(part), depth + 1) for part in (ids[:cut], ids[cut:]))
+            le, gt = (grow(node.child(part)) for part in (ids[:cut], ids[cut:]))
             return Split(spec.name, pos, threshold=t, le=le, gt=gt)
         column = columns.values[pos]
         members = {v: [i for i in node.rows if column[i] == v] for v in spec.domain}
-        return Split(spec.name, pos, branches={v: grow(node.child(m), depth + 1) for v, m in members.items()})
+        return Split(spec.name, pos, branches={v: grow(node.child(m)) for v, m in members.items()})
 
     try:
-        return grow(columns.root, 0)
+        return grow(columns.root)
     except RecursionError:
         raise TreeTooDeep("tree deeper than the recursion limit; a larger min_leaf keeps it shallower") from None
 
@@ -592,7 +583,8 @@ class Condition:
 
     def text(self) -> str:
         value = repr(self.value) if isinstance(self.value, float) else str(self.value)
-        return f"{self.attribute} {self.op} {value}"
+        attribute, value = tables.shown([self.attribute, value])
+        return f"{attribute} {self.op} {value}"
 
 
 @dataclass(frozen=True)
@@ -609,10 +601,9 @@ class Rule:
         return all(c.matches(values) for c in self.conditions)
 
     def text(self, label_name: str = "class") -> str:
-        if not self.conditions:
-            return f"If true then {label_name} = {self.label}"
-        conds = " and ".join(c.text() for c in self.conditions)
-        return f"If {conds} then {label_name} = {self.label}"
+        conds = " and ".join(c.text() for c in self.conditions) or "true"
+        label_name, label = tables.shown([label_name, self.label])
+        return f"If {conds} then {label_name} = {label}"
 
 
 @dataclass(frozen=True)

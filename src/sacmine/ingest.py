@@ -115,7 +115,7 @@ def parse_events(stream) -> tuple[list[AttendanceEvent], CleaningReport]:
     ids: list[str] = []
     events = [
         AttendanceEvent(ids[n], module_code, semester, week, present)
-        for (module_code, semester, week), n, present in _valid_rows(stream, report, ids=ids)
+        for (module_code, semester, week), n, present in _valid_rows(stream, report, ids)
     ]
     report.check()
     return events, report
@@ -173,7 +173,7 @@ def read_event_map(
     """
     limit = math.inf if weeks_total is None else _week_limit(weeks_total)
     parsed, ids = CleaningReport(), []
-    registers, cleaning = _pack(_valid_rows(source, parsed, limit, ids))
+    registers, cleaning = _pack(_valid_rows(source, parsed, ids, limit))
     parsed.check()
     return (ids, registers), parsed, cleaning
 
@@ -219,7 +219,7 @@ def _week_beyond(module_code: str, week: int, weeks_total: int) -> WeekOutOfRang
     return WeekOutOfRange(f"{module_code} week {week} beyond weeks_total {weeks_total}")
 
 
-def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf, ids: list[str] | None = None):
+def _valid_rows(source, report: CleaningReport, ids: list[str], weeks_total: float = math.inf):
     """Each valid row of the events table ``source``, any source that
     :func:`tables.read` takes, as ``((module_code, semester, week), n,
     present)``, in file order, where ``n`` numbers the row's student id: each
@@ -231,7 +231,6 @@ def _valid_rows(source, report: CleaningReport, weeks_total: float = math.inf, i
     valid row for a week beyond ``weeks_total`` raises WeekOutOfRange. Cells are
     judged trimmed. Each distinct module code is one string object, shared by its rows.
     """
-    ids = [] if ids is None else ids
     number: dict[str, int] = {}  # each student id -> its index in ids
     modules: dict[str, str] = {}  # each module code kept so far, to itself
     decoded: dict[tuple[str, str, str], tuple] = {}  # raw cell triple -> _decode of it
@@ -357,7 +356,7 @@ def _tally(groups, roster: list[RosterEntry] | None, weeks_total: int):
         for week, attended in sorted(present[key].items()):
             if attended > registered:
                 rejections.append(
-                    f"{shown([module_code])[0]} semester {semester} week {week}: "
+                    f"{tables.shown([module_code])[0]} semester {semester} week {week}: "
                     f"{attended} present exceeds {registered} registered"
                 )
                 break
@@ -365,11 +364,6 @@ def _tally(groups, roster: list[RosterEntry] | None, weeks_total: int):
         else:
             records.append(ModuleTermRecord(module_code, semester, weeks_total, tuple(observations)))
     return records, rejections
-
-
-def shown(codes: list[str]) -> list[str]:
-    """``codes`` as a line shows them: a code that :meth:`str.isprintable` rejects, as its ``repr()``."""
-    return codes if "".join(codes).isprintable() else [c if c.isprintable() else repr(c) for c in codes]
 
 
 # --- CSV surfaces -----------------------------------------------------------

@@ -24,34 +24,21 @@ from .ingest import EVENTS_HEADER
 class GenParams:
     """Knobs for the event-log generator.
 
-    Each module draws its enrolment from ``registered_range``, a
-    per-week probability of the instructor taking attendance from
-    ``taking_prob_range`` and a per-student presence probability from
-    ``attend_prob_range``. On a taken week every enrolled student gets
-    exactly one event, present or absent.
+    Each module draws its enrolment from 15 to 60, a per-week probability
+    of the instructor taking attendance from [0.2, 1.0) and a per-student
+    presence probability from [0.3, 0.95). On a taken week every enrolled
+    student gets exactly one event, present or absent.
     """
 
     module_count: int
     weeks_total: int = 11
-    registered_range: tuple[int, int] = (15, 60)
-    attend_prob_range: tuple[float, float] = (0.3, 0.95)
-    taking_prob_range: tuple[float, float] = (0.2, 1.0)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lo, hi = self.registered_range
         if self.module_count < 1:
             raise InvalidParams(f"module_count must be >= 1, got {self.module_count}")
         if self.weeks_total < 1:
             raise InvalidParams(f"weeks_total must be >= 1, got {self.weeks_total}")
-        if not 1 <= lo <= hi:
-            raise InvalidParams(f"registered_range must satisfy 1 <= lo <= hi, got {self.registered_range}")
-        for name, (plo, phi) in (
-            ("attend_prob_range", self.attend_prob_range),
-            ("taking_prob_range", self.taking_prob_range),
-        ):
-            if not 0.0 <= plo <= phi <= 1.0:
-                raise InvalidParams(f"{name} must be within [0, 1], got {(plo, phi)}")
 
 
 def write_events(params: GenParams, fh) -> int:
@@ -63,17 +50,14 @@ def write_events(params: GenParams, fh) -> int:
     """
     rng = Generator(params.seed)
     random = rng.random
-    lo, hi = params.registered_range
-    plo, phi = params.attend_prob_range
-    qlo, qhi = params.taking_prob_range
 
     size = fh.write(",".join(EVENTS_HEADER) + "\n")
     for m in range(params.module_count):
         module_code = f"MOD{m + 1:03d}"
         semester = rng.integers(1, 3)
-        registered = rng.integers(lo, hi + 1)
-        q = rng.uniform(qlo, qhi)
-        p = rng.uniform(plo, phi)
+        registered = rng.integers(15, 60 + 1)
+        q = rng.uniform(0.2, 1.0)
+        p = rng.uniform(0.3, 0.95)
         heads = [f"stu{m + 1:03d}_{s + 1:03d},{module_code},{semester}," for s in range(registered)]
         for week in range(1, params.weeks_total + 1):
             if random() >= q:

